@@ -6,7 +6,7 @@ simulate    evolve a walk and write its position distribution
 density     tabulate the closed-form limit density on a grid
 compare     evolve, then report distances to the limit law (JSON)
 sweep       distributions at a fixed time across a range of coin angles
-three-coin  alias of ``simulate --three-coin``
+three-coin  simulate with three general coins, one per step of the cycle
 
 Data files are deterministic: identical configuration yields byte-identical
 output.  CSV files carry ``#``-prefixed header lines; JSON files are a
@@ -181,18 +181,12 @@ def _emit_table(args, command, config, columns, rows) -> int:
 
 
 def _simulate_protocol(args) -> tuple[StepProtocol, dict]:
-    three = getattr(args, "three_coin", False) or args.command == "three-coin"
-    coins = getattr(args, "coin", None) or []
-    if three:
-        if args.theta is not None:
-            raise ConfigError("--theta conflicts with three-coin mode")
-        if len(coins) != 3:
-            raise ConfigError("three-coin mode needs exactly three --coin options")
-        params = [_parse_coin_params(c) for c in coins]
+    if args.command == "three-coin":
+        if len(args.coin) != 3:
+            raise ConfigError("three-coin needs exactly three --coin options")
+        params = [_parse_coin_params(c) for c in args.coin]
         protocol = three_coin_protocol(*(general_coin(*p) for p in params))
         return protocol, {"coins": [list(p) for p in params]}
-    if coins:
-        raise ConfigError("--coin here requires --three-coin (or the three-coin subcommand)")
     if args.theta is None:
         raise ConfigError("--theta is required")
     theta = _finite(args.theta, "--theta")
@@ -225,10 +219,6 @@ def cmd_simulate(args) -> int:
         raise ConfigError("--steps must be nonnegative")
     if args.every is not None and args.every < 1:
         raise ConfigError("--every must be positive")
-    if args.theta_sweep is not None:
-        if getattr(args, "three_coin", False) or getattr(args, "coin", None):
-            raise ConfigError("--theta-sweep conflicts with three-coin mode")
-        return _run_sweep(args)
     spin = _resolve_spin(args)
     protocol, coin_cfg = _simulate_protocol(args)
     config = {
@@ -330,7 +320,19 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _run_sweep(args) -> int:
+def _sweep_workers() -> int:
+    """Thread count from ``TRIWALK_SWEEP_WORKERS``, capped at the CPU count."""
+    text = os.environ.get(_WORKERS_ENV, "1") or "1"
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ConfigError(f"{_WORKERS_ENV} must be an integer, got {text!r}") from None
+    if workers < 1:
+        raise ConfigError(f"{_WORKERS_ENV} must be at least 1, got {workers}")
+    return min(workers, os.cpu_count() or 1)
+
+
+def cmd_sweep(args) -> int:
     lo, hi, count = _parse_range(args.theta_sweep)
     if args.steps < 0:
         raise ConfigError("--steps must be nonnegative")
@@ -351,7 +353,7 @@ def _run_sweep(args) -> int:
             for x, p in zip(dist.positions, dist.probabilities)
         ]
 
-    workers = int(os.environ.get(_WORKERS_ENV, "1") or "1")
+    workers = _sweep_workers()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(one, thetas))
@@ -359,10 +361,6 @@ def _run_sweep(args) -> int:
         chunks = [one(theta) for theta in thetas]
     rows = [row for chunk in chunks for row in chunk]
     return _emit_table(args, "sweep", config, ["theta", "x", "p"], rows)
-
-
-def cmd_sweep(args) -> int:
-    return _run_sweep(args)
 
 
 def _add_spin_options(parser: argparse.ArgumentParser) -> None:
@@ -394,25 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="evolve a walk and write (x, p) rows")
     sim.add_argument("--theta", type=float, help="rotation-coin angle (radians)")
-    sim.add_argument(
-        "--three-coin",
-        action="store_true",
-        help="use three general coins (give --coin three times)",
-    )
-    sim.add_argument(
-        "--coin",
-        action="append",
-        help="general coin as 'gamma,delta,xi,theta' (three-coin mode)",
-    )
     sim.add_argument("--steps", type=int, required=True, help="number of steps")
     sim.add_argument(
         "--every",
         type=int,
         help="also write intermediate times every N steps as (t, x, p) rows",
-    )
-    sim.add_argument(
-        "--theta-sweep",
-        help="sweep rotation angles 'lo:hi:n' at fixed --steps, rows (theta, x, p)",
     )
     _add_spin_options(sim)
     _add_output_options(sim)
@@ -429,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     three.add_argument("--every", type=int)
     _add_spin_options(three)
     _add_output_options(three)
-    three.set_defaults(func=cmd_simulate, theta=None, theta_sweep=None, three_coin=True)
+    three.set_defaults(func=cmd_simulate)
 
     dens = sub.add_parser("density", help="tabulate the limit density as (x, f) rows")
     dens.add_argument("--theta", type=float, help="rotation-coin angle (radians)")

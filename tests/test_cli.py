@@ -200,6 +200,31 @@ def test_sweep_parallel_output_identical(tmp_path):
     assert serial.read_bytes() == threaded.read_bytes()
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_bad_sweep_workers_exit_code(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("TRIWALK_SWEEP_WORKERS", value)
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--theta-sweep", "0.4:2.7:3", "--steps", "5", "-o", str(out)]
+    assert main(args) == 2
+    assert "TRIWALK_SWEEP_WORKERS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_workers_capped_at_cpu_count(tmp_path, monkeypatch):
+    import triwalk.cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single CPU must not start a thread pool")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(triwalk.cli, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv("TRIWALK_SWEEP_WORKERS", "2")
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--theta-sweep", "0.4:2.7:3", "--steps", "5", "-o", str(out)]
+    assert main(args) == 0
+    assert out.exists()
+
+
 def test_json_and_csv_round_trip_identically(tmp_path):
     csv_path = tmp_path / "run.csv"
     json_path = tmp_path / "run.json"
@@ -237,8 +262,6 @@ def test_config_conflicts_exit_code(tmp_path):
     # density/compare want exactly one of --theta / --coin
     assert main(["density", "--theta", PI4, "--coin", "0,0,0,1.0", "-o", out]) == 2
     assert main(["density", "-o", out]) == 2
-    # --coin on simulate needs --three-coin
-    assert main(["simulate", "--coin", "0,0,0,1.0", "--steps", "3", "-o", out]) == 2
     # malformed sweep range
     assert main(["sweep", "--theta-sweep", "2.7:0.4:5", "--steps", "3", "-o", out]) == 2
     assert main(["sweep", "--theta-sweep", "0.4:2.7:1", "--steps", "3", "-o", out]) == 2
@@ -255,13 +278,6 @@ def test_non_finite_inputs_exit_code(tmp_path):
         == 2
     )
     assert main(["density", "--coin", "0,nan,0,1.0", "-o", out]) == 2
-    assert (
-        main(
-            ["simulate", "--theta-sweep", "0:1:3", "--three-coin", "--coin", "0,0,0,1",
-             "--coin", "0,0,0,1", "--coin", "0,0,0,1", "--steps", "3", "-o", out]
-        )
-        == 2
-    )
 
 
 def test_unconverged_quadrature_exit_code(tmp_path):

@@ -255,6 +255,48 @@ def test_cdf_refined_and_base_agree_coarsely(pi4_model):
     assert np.max(np.abs(refined - base)) <= 1e-4
 
 
+def _cdf_at_endpoints_by_quadrature(model):
+    """Closed-form density integrated up to each sorted support endpoint.
+
+    Each piece between neighbouring endpoints is mapped by
+    ``x = mid - half * cos(phi)``, which cancels the inverse-square-root
+    singularities at its ends.  The last ``phi0`` at either end, where the
+    density refuses evaluation, is added as a rectangle: the mapped
+    integrand is flat there.
+    """
+    from scipy.integrate import quad
+
+    ends = support_intervals(model).endpoint_values()
+    masses = [0.0]
+    for a, b in zip(ends[:-1], ends[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+
+        def mapped(phi):
+            x = mid - half * math.cos(phi)
+            return limit_density(model, x) * half * math.sin(phi)
+
+        phi0 = math.sqrt(8e-12 / half)
+        body, _ = quad(
+            mapped, phi0, math.pi - phi0, epsabs=1e-13, epsrel=1e-13, limit=400
+        )
+        masses.append(body + (mapped(phi0) + mapped(math.pi - phi0)) * phi0)
+    return ends, np.cumsum(masses)
+
+
+def test_refined_cdf_at_support_endpoints():
+    spins = (symmetric_spin(), InitialSpin(1.0, 0.0), InitialSpin(0.6, 0.8j))
+    models = [
+        LimitModel(rotation_coin(theta), spin)
+        for theta in (0.35, 0.7, 1.25, 2.0)
+        for spin in spins
+    ]
+    models.append(LimitModel(general_coin(0.8, 1.7, 0.5, 1.9), InitialSpin(0.6, 0.8j)))
+    for model in models:
+        ends, exact = _cdf_at_endpoints_by_quadrature(model)
+        assert exact[-1] == pytest.approx(1.0, abs=1e-9)
+        assert np.max(np.abs(limit_cdf(model, ends) - exact)) <= 1e-8
+
+
 def test_cdf_refinement_accuracy_against_finer_grid(pi4_model, gap_model):
     # the documented ~1e-8 accuracy at the default grid, checked against an
     # 8x finer one
