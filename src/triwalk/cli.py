@@ -364,8 +364,8 @@ def cmd_sweep(args) -> int:
 
 
 def _add_spin_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", help="initial spin-0 amplitude as 're,im'")
-    parser.add_argument("--beta", help="initial spin-1 amplitude as 're,im'")
+    parser.add_argument("--alpha", help="initial spin-0 amplitude, e.g. --alpha=-0.6,0")
+    parser.add_argument("--beta", help="initial spin-1 amplitude, e.g. --beta=-0.8,0")
     parser.add_argument(
         "--spin",
         choices=["symmetric"],
@@ -456,6 +456,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"triwalk: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # e.g. a --steps too large to allocate
+        detail = str(exc) or "allocation failed"
+        print(f"triwalk: out of memory: {detail}", file=sys.stderr)
         return EXIT_CONFIG
     except (WalkError, ArithmeticError) as exc:
         print(f"triwalk: {exc}", file=sys.stderr)

@@ -154,15 +154,17 @@ class WalkState:
             raise ValueError("parity violated: amplitude on an odd sublattice site")
 
 
+def _coin(m: np.ndarray, x0: np.ndarray, x1: np.ndarray) -> None:
+    """Apply the coin matrix ``m`` in place to the spinor rows ``(x0, x1)``."""
+    x0[...], x1[...] = m[0, 0] * x0 + m[0, 1] * x1, m[1, 0] * x0 + m[1, 1] * x1
+
+
 def apply_coin(state: WalkState, coin: CoinOperator) -> WalkState:
     """Apply ``coin`` to every spinor without shifting (time unchanged)."""
     if coin.is_identity():
         return state
-    m = coin.matrix
-    a0, a1 = state.amplitudes
-    out = np.empty_like(state.amplitudes)
-    out[0] = m[0, 0] * a0 + m[0, 1] * a1
-    out[1] = m[1, 0] * a0 + m[1, 1] * a1
+    out = state.amplitudes.copy()
+    _coin(coin.matrix, out[0], out[1])
     return WalkState(state.t, out)
 
 
@@ -171,53 +173,37 @@ def step(state: WalkState, coin: CoinOperator) -> WalkState:
 
     With the identity coin the step is a pure permutation of amplitudes.
     """
-    a0, a1 = state.amplitudes
-    if coin.is_identity():
-        b0, b1 = a0, a1
-    else:
-        m = coin.matrix
-        b0 = m[0, 0] * a0 + m[0, 1] * a1
-        b1 = m[1, 0] * a0 + m[1, 1] * a1
-    width = a0.size
+    width = state.amplitudes.shape[1]
     out = np.zeros((2, width + 2), dtype=np.complex128)
-    out[0, :width] = b0  # spin-0 moves x -> x - 1
-    out[1, 2:] = b1  # spin-1 moves x -> x + 1
+    out[0, :width] = state.amplitudes[0]  # spin-0 moves x -> x - 1
+    out[1, 2:] = state.amplitudes[1]  # spin-1 moves x -> x + 1
+    if not coin.is_identity():
+        _coin(coin.matrix, out[0, :width], out[1, 2:])
     return WalkState(state.t + 1, out)
 
 
 def evolve(spin: InitialSpin, protocol: StepProtocol, steps: int) -> WalkState:
     """Run ``steps`` steps from a point mass at the origin with spin ``spin``.
 
-    The full amplitude array is sized once up front (support grows by one
-    site per step, so dense storage wins at every relevant scale) and the
-    steps run in place on a widening window; the arithmetic per step is
-    identical to :func:`step`.  ``steps == 0`` returns the point-mass state.
+    Every amplitude is kept from the start in its column at time ``steps``.
+    A shift never moves spin-0's column; spin-1's window starts at the last
+    column and moves one even column left per step.  So step ``t`` applies
+    the coin in place to the ``t + 1`` occupied pairs, spin-0 columns
+    ``0, 2, .., 2t`` against spin-1 columns ``2(steps - t), .., 2 steps``;
+    the arithmetic per step is identical to :func:`step`.  An identity step
+    does nothing, and the odd (parity-zero) columns are never written.
+    ``steps == 0`` returns the point-mass state.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     amp = np.zeros((2, 2 * steps + 1), dtype=np.complex128)
-    center = steps
-    amp[0, center] = spin.alpha
-    amp[1, center] = spin.beta
-    coins = protocol.coins
-    period = protocol.period
+    amp[0, 0] = spin.alpha
+    amp[1, 2 * steps] = spin.beta
+    coins = [None if c.is_identity() else c.matrix for c in protocol.coins]
     for t in range(steps):
-        lo = center - t
-        hi = lo + 2 * t + 1
-        a0 = amp[0, lo:hi]
-        a1 = amp[1, lo:hi]
-        coin = coins[t % period]
-        if coin.is_identity():
-            b0 = a0.copy()
-            b1 = a1.copy()
-        else:
-            m = coin.matrix
-            b0 = m[0, 0] * a0 + m[0, 1] * a1
-            b1 = m[1, 0] * a0 + m[1, 1] * a1
-        amp[0, lo - 1 : hi - 1] = b0
-        amp[0, hi - 1] = 0.0
-        amp[1, lo + 1 : hi + 1] = b1
-        amp[1, lo] = 0.0
+        m = coins[t % len(coins)]
+        if m is not None:
+            _coin(m, amp[0, : 2 * t + 1 : 2], amp[1, 2 * (steps - t) :: 2])
     return WalkState(steps, amp)
 
 

@@ -322,6 +322,23 @@ def test_io_error_exit_code(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--theta", PI4],
+        ["compare", "--theta", PI4],
+        ["simulate", "--theta", PI4, "--every", "1"],
+    ],
+)
+def test_huge_steps_exit_code(tmp_path, capsys, args):
+    # Each allocation is refused at once: nothing of that size is touched.
+    out = tmp_path / "x.out"
+    assert main([*args, "--steps", str(10**15), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("triwalk: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "sim.csv"
     env = dict(os.environ)

@@ -20,10 +20,18 @@ from triwalk import (
     rotation_coin,
     step,
     symmetric_spin,
+    three_coin_protocol,
     three_period_protocol,
 )
 
-from _oracles import dense_amplitude, dense_evolve, random_safe_angle, random_spin
+from _oracles import (
+    dense_amplitude,
+    dense_evolve,
+    dense_index,
+    dense_step_operator,
+    random_safe_angle,
+    random_spin,
+)
 
 SQ2 = math.sqrt(2.0) / 2.0
 
@@ -189,20 +197,51 @@ def test_identity_step_is_exact_permutation():
 
 def test_evolve_equals_folded_steps_bitwise():
     rng = np.random.default_rng(13)
+    coin = general_coin(0.4, 1.2, 2.2, 2.0)
     protocols = [
         three_period_protocol(1.1),
-        canonical_protocol(general_coin(0.4, 1.2, 2.2, 2.0)),
+        canonical_protocol(coin),
         StepProtocol((rotation_coin(0.5), rotation_coin(2.6))),
+        three_coin_protocol(
+            general_coin(1.1, -0.3, 0.7, 0.9), coin, general_coin(-2.0, 0.5, 1.9, 2.8)
+        ),
+        StepProtocol((identity_coin(), coin, coin)),
+        StepProtocol((coin,)),
+        StepProtocol((identity_coin(),)),
     ]
     for protocol in protocols:
         alpha, beta = random_spin(rng)
         spin = InitialSpin(alpha, beta)
-        for steps in (0, 1, 2, 3, 7, 12):
+        for steps in range(41):
             direct = evolve(spin, protocol, steps)
             folded = point_mass(alpha, beta)
             for t in range(steps):
                 folded = step(folded, protocol.coins[t % protocol.period])
             assert np.array_equal(direct.amplitudes, folded.amplitudes)
+
+
+def _dense_vector(state, t_max):
+    vec = np.zeros(2 * (2 * t_max + 1), dtype=complex)
+    for i in range(state.amplitudes.shape[1]):
+        for s in (0, 1):
+            vec[dense_index(i - state.t, s, t_max)] = state.amplitudes[s, i]
+    return vec
+
+
+@pytest.mark.parametrize("coin", [general_coin(0.4, 1.2, 2.2, 1.1), identity_coin()])
+def test_step_and_apply_coin_act_on_odd_columns(coin):
+    # A hand-built state with every column occupied, odd parity included.
+    rng = np.random.default_rng(17)
+    t = 4
+    amp = rng.normal(size=(2, 2 * t + 1)) + 1j * rng.normal(size=(2, 2 * t + 1))
+    state = WalkState(t, amp)
+    expected = dense_step_operator(coin.matrix, t + 1) @ _dense_vector(state, t + 1)
+    stepped = step(state, coin)
+    assert np.allclose(_dense_vector(stepped, t + 1), expected, rtol=0, atol=1e-14)
+    # Coin alone, then the oracle's bare shift, is the same full step.
+    shift = dense_step_operator(np.eye(2), t + 1)
+    coined = shift @ _dense_vector(apply_coin(state, coin), t + 1)
+    assert np.allclose(coined, expected, rtol=0, atol=1e-14)
 
 
 def test_canonical_protocol_of_rotation_matches_three_period():
