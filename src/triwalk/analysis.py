@@ -159,6 +159,11 @@ def mirror_asymmetry(dist: PositionDistribution) -> float:
     return float(np.max(np.abs(forward - mirrored)))
 
 
+def _check_r_max(r_max: int) -> None:
+    if not 0 <= r_max <= 8:
+        raise ValueError("moment order must be between 0 and 8")
+
+
 @dataclass(frozen=True)
 class MomentErrors:
     """Absolute moment errors |empirical - limit| at one walk time."""
@@ -175,8 +180,7 @@ def moment_report(
     cells: int = DEFAULT_CELLS,
 ) -> list[MomentErrors]:
     """Moment-error sweep over walk times (headline check uses multiples of 3)."""
-    if r_max > 8:
-        raise ValueError("moment order must be at most 8")
+    _check_r_max(r_max)
     reference = {r: kspace_moment(model, r, cells=cells) for r in range(r_max + 1)}
     protocol = canonical_protocol(model.coin)
     out = []
@@ -222,6 +226,7 @@ def compare_distribution(
     cells: int = DEFAULT_CELLS,
 ) -> ComparisonReport:
     """Full comparison of one distribution against the limit law of ``model``."""
+    _check_r_max(r_max)
     ks = ks_distance(dist, scale, model, cells=cells)
     moments = tuple(
         (r, abs(empirical_moment(dist, r, scale) - kspace_moment(model, r, cells=cells)))

@@ -98,6 +98,7 @@ def _parse_range(text: str) -> tuple[float, float, int]:
         raise ConfigError(f"bad range {text!r}: {exc}") from None
     _finite(lo, "sweep bound")
     _finite(hi, "sweep bound")
+    _finite(hi - lo, "sweep width")
     if n < 2:
         raise ConfigError("sweep needs at least 2 angles")
     if not hi > lo:
@@ -116,7 +117,10 @@ def _resolve_spin(args) -> InitialSpin:
         raise ConfigError("--alpha and --beta must be given together")
     alpha = _parse_pair(args.alpha)
     beta = _parse_pair(args.beta)
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
+    try:
+        norm = abs(alpha) ** 2 + abs(beta) ** 2
+    except OverflowError:  # components near the float limit
+        norm = math.inf
     if not math.isfinite(norm) or abs(norm - 1.0) > SPIN_PARSE_TOLERANCE:
         raise ConfigError(
             f"spin is not normalised: |alpha|^2+|beta|^2 = {norm!r}"
@@ -449,9 +453,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv):
+    """``parse_args``, refusing the empty list some Pythons store for ``--opt=--``."""
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list) and (not value or [] in value):
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+    return args
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(parser, argv)
     try:
         return args.func(args)
     except ConfigError as exc:

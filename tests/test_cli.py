@@ -280,6 +280,31 @@ def test_non_finite_inputs_exit_code(tmp_path):
     assert main(["density", "--coin", "0,nan,0,1.0", "-o", out]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # Some Pythons' argparse store [] for a value of "--"
+        ["simulate", "--theta", PI4, "--steps=--"],
+        ["density", "--theta", PI4, "--format=--"],
+        ["three-coin", "--coin=--", "--coin=0,0,0,1", "--coin=0,0,0,1", "--steps", "3"],
+        # finite bounds whose width is not
+        ["sweep", "--theta-sweep=-1e308:1e308:2", "--steps", "3"],
+        # |alpha|^2 overflows
+        ["simulate", "--theta", PI4, "--alpha=1e308,1e308", "--beta=0,1", "--steps", "3"],
+    ],
+)
+def test_degenerate_values_exit_code(tmp_path, capsys, args):
+    out = tmp_path / "x.out"
+    try:
+        code = main([*args, "-o", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "triwalk" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unconverged_quadrature_exit_code(tmp_path):
     # nearly trivial angle: the moment quadrature refuses at the default grid
     code = main(

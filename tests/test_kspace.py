@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from triwalk import (
     symmetric_spin,
     three_period_protocol,
 )
+
+from triwalk import kspace
 
 from _oracles import random_safe_angle
 
@@ -170,6 +174,67 @@ def test_moment_raises_when_refinement_estimate_misses():
     with pytest.raises(ArithmeticError):
         kspace_moment(model, 2)
     assert kspace_moment(model, 2, cells=1 << 18) == pytest.approx(0.99988453, abs=1e-6)
+
+
+def _per_order_moments(model, cells):
+    """Each order on its own, as ``h**r * w`` on the refined grid of 2*cells."""
+    alpha, beta = model.effective_spin
+    h, w = kspace._branches(model.a_abs, model.b_abs, open_grid(2 * cells), alpha, beta)
+    return [float(np.sum(h**r * w) / (2 * cells)) for r in range(9)]
+
+
+def test_one_pass_moments_match_per_order_formula():
+    spin = InitialSpin(0.6, 0.8j)
+    models = [
+        LimitModel(rotation_coin(math.pi / 4), symmetric_spin()),  # no gap
+        LimitModel(rotation_coin(2 * math.pi / 5), spin),  # gap
+        LimitModel(rotation_coin(2.5), spin),  # outside (0, pi/2)
+        LimitModel(general_coin(0.3, 0.1, 0.9, 1.0), spin),
+        LimitModel(
+            general_coin(-1.1, 2.0, 0.4, 0.6),
+            InitialSpin(complex(0.48, 0.36), complex(0.0, -0.8)),
+        ),
+    ]
+    cells = 1 << 16
+    for model in models:
+        for r, expected in enumerate(_per_order_moments(model, cells)):
+            assert abs(kspace_moment(model, r, cells=cells) - expected) <= 1e-14
+
+
+def test_moment_values_do_not_depend_on_call_order():
+    def model():
+        return LimitModel(general_coin(0.3, 0.1, 0.9, 1.0), InitialSpin(0.6, 0.8j))
+
+    descending = {r: kspace_moment(model(), r) for r in range(8, -1, -1)}
+    fresh = model()
+    ascending = {r: kspace_moment(fresh, r) for r in range(9)}
+    for r in range(9):
+        assert ascending[r] == descending[r]
+
+
+@pytest.mark.parametrize("orders", [range(9), range(8, -1, -1)])
+def test_refinement_check_is_per_order(orders):
+    # A 16-cell grid resolves orders 0, 1 and 8 to 1e-8 but not 2 or 4.
+    model = LimitModel(rotation_coin(1.2), InitialSpin(0.6, 0.8j))
+    for r in orders:
+        if r in (2, 4):
+            with pytest.raises(ArithmeticError):
+                kspace_moment(model, r, cells=16)
+        elif r in (0, 1, 8):
+            assert math.isfinite(kspace_moment(model, r, cells=16))
+
+
+def test_moment_memo_is_dropped_with_its_model():
+    model = LimitModel(rotation_coin(1.2), InitialSpin(0.6, 0.8j))
+    kspace_moment(model, 3, cells=64)
+    assert model in kspace._CACHE
+    ref = weakref.ref(model)
+    gc.collect()
+    entries = len(kspace._CACHE)
+    del model
+    gc.collect()
+    assert ref() is None
+    assert len(kspace._CACHE) == entries - 1
 
 
 def test_pushforward_total_mass(pi4_model, gap_model):
