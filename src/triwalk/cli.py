@@ -21,10 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 from .analysis import compare_distribution
 from .coins import general_coin, rotation_coin
@@ -48,8 +48,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
-
-_WORKERS_ENV = "TRIWALK_SWEEP_WORKERS"
 
 
 class ConfigError(Exception):
@@ -88,6 +86,21 @@ def _parse_coin_params(text: str) -> tuple[float, float, float, float]:
     return tuple(_finite(v, "coin parameter") for v in (g, d, x, t))
 
 
+def _count(value: int, least: int, what: str) -> int:
+    """``value`` as a step, grid or angle count of at least ``least``.
+
+    Counts above ``sys.maxsize // 64`` are refused before anything is
+    allocated: a walk step takes 64 bytes, so numpy would refuse such a walk
+    with a ``ValueError`` rather than a ``MemoryError``, and no grid or
+    sweep that large fits in memory either.
+    """
+    if value < least:
+        raise ConfigError(f"{what} must be at least {least}")
+    if value > sys.maxsize // 64:
+        raise ConfigError(f"{what} {value} is too large to allocate")
+    return value
+
+
 def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -99,11 +112,9 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     _finite(lo, "sweep bound")
     _finite(hi, "sweep bound")
     _finite(hi - lo, "sweep width")
-    if n < 2:
-        raise ConfigError("sweep needs at least 2 angles")
     if not hi > lo:
         raise ConfigError("sweep range must have hi > lo")
-    return lo, hi, n
+    return lo, hi, _count(n, 2, "sweep angle count")
 
 
 def _resolve_spin(args) -> InitialSpin:
@@ -142,25 +153,6 @@ def _open_output(path: str | None):
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
-def _write_csv(path, command: str, config: dict, columns: list[str], rows) -> None:
-    handle, close = _open_output(path)
-    try:
-        handle.write(f"# triwalk {command}\n")
-        for key, value in config.items():
-            handle.write(f"# {key}={json.dumps(value)}\n")
-        handle.write(f"# columns: {','.join(columns)}\n")
-        for row in rows:
-            handle.write(
-                ",".join(
-                    str(v) if isinstance(v, int) else _fmt(v) for v in row
-                )
-                + "\n"
-            )
-    finally:
-        if close:
-            handle.close()
-
-
 def _write_json(path, config: dict, payload_key: str, payload) -> None:
     handle, close = _open_output(path)
     try:
@@ -171,17 +163,45 @@ def _write_json(path, config: dict, payload_key: str, payload) -> None:
             handle.close()
 
 
-def _emit_table(args, command, config, columns, rows) -> int:
-    if args.format == "csv":
-        _write_csv(args.output, command, config, columns, rows)
-    else:
-        _write_json(
-            args.output,
-            config,
-            "data",
-            {"columns": columns, "rows": [list(r) for r in rows]},
-        )
+def _emit_table(args, command: str, config: dict, names: list[str], columns) -> int:
+    """Write numpy ``columns`` as CSV or JSON rows.
+
+    Int columns are written as ints and every other column with ``_fmt``;
+    JSON rows hold the columns' ``tolist()`` values.
+    """
+    values = [column.tolist() for column in columns]
+    if args.format == "json":
+        rows = [list(row) for row in zip(*values)]
+        _write_json(args.output, config, "data", {"columns": names, "rows": rows})
+        return EXIT_OK
+    cells = [
+        map(str if column.dtype.kind == "i" else _fmt, column_values)
+        for column, column_values in zip(columns, values)
+    ]
+    handle, close = _open_output(args.output)
+    try:
+        handle.write(f"# triwalk {command}\n")
+        for key, value in config.items():
+            handle.write(f"# {key}={json.dumps(value)}\n")
+        handle.write(f"# columns: {','.join(names)}\n")
+        handle.writelines(",".join(row) + "\n" for row in zip(*cells))
+    finally:
+        if close:
+            handle.close()
     return EXIT_OK
+
+
+def _dist_columns(dists, keys=None) -> list[np.ndarray]:
+    """The ``x, p`` columns of ``dists`` stacked in order, led by a column
+    repeating ``keys[i]`` on every row of ``dists[i]`` when ``keys`` is given."""
+    columns = [
+        np.concatenate([d.positions for d in dists]),
+        np.concatenate([d.probabilities for d in dists]),
+    ]
+    if keys is not None:
+        sizes = [d.positions.size for d in dists]
+        columns.insert(0, np.repeat(np.asarray(keys), sizes))
+    return columns
 
 
 def _simulate_protocol(args) -> tuple[StepProtocol, dict]:
@@ -219,8 +239,7 @@ def _checkpoints(steps: int, every: int) -> list[int]:
 
 
 def cmd_simulate(args) -> int:
-    if args.steps < 0:
-        raise ConfigError("--steps must be nonnegative")
+    _count(args.steps, 0, "--steps")
     if args.every is not None and args.every < 1:
         raise ConfigError("--every must be positive")
     spin = _resolve_spin(args)
@@ -234,29 +253,24 @@ def cmd_simulate(args) -> int:
         "format": args.format,
     }
     if args.every is None:
-        dist = distribution(evolve(spin, protocol, args.steps))
-        rows = [
-            (int(x), float(p))
-            for x, p in zip(dist.positions, dist.probabilities)
-        ]
-        return _emit_table(args, "simulate", config, ["x", "p"], rows)
-    rows = []
-    wanted = set(_checkpoints(args.steps, args.every))
+        columns = _dist_columns([distribution(evolve(spin, protocol, args.steps))])
+        return _emit_table(args, "simulate", config, ["x", "p"], columns)
+    times = _checkpoints(args.steps, args.every)
+    wanted = set(times)
+    dists = []
     state = evolve(spin, protocol, 0)
     for t in range(args.steps + 1):
         if t:
             state = step(state, protocol.coins[(t - 1) % protocol.period])
         if t in wanted:
-            dist = distribution(state)
-            rows.extend(
-                (t, int(x), float(p))
-                for x, p in zip(dist.positions, dist.probabilities)
-            )
-    return _emit_table(args, "simulate", config, ["t", "x", "p"], rows)
+            dists.append(distribution(state))
+    columns = _dist_columns(dists, times)
+    return _emit_table(args, "simulate", config, ["t", "x", "p"], columns)
 
 
-def _density_rows(model: LimitModel, grid: int) -> list[tuple[float, float]]:
-    """Midpoint grids per region between the support endpoints, over (-1, 1).
+def _density_rows(model: LimitModel, grid: int) -> list[np.ndarray]:
+    """``x, f`` columns on midpoint grids per region between the support
+    endpoints, over (-1, 1).
 
     Points are strictly inside each region, so the density is evaluated
     away from its endpoint singularities; regions off the support emit
@@ -264,21 +278,19 @@ def _density_rows(model: LimitModel, grid: int) -> list[tuple[float, float]]:
     """
     endpoints = support_intervals(model).endpoint_values()
     boundaries = [-1.0, *endpoints.tolist(), 1.0]
-    rows: list[tuple[float, float]] = []
+    xs = []
     for lo, hi in zip(boundaries[:-1], boundaries[1:]):
         length = hi - lo
         if length <= 2.0 * ENDPOINT_EXCLUSION:
             continue
         count = max(1, round(grid * length / 2.0))
-        for i in range(count):
-            x = lo + length * (i + 0.5) / count
-            rows.append((x, float(limit_density(model, x))))
-    return rows
+        xs.append(lo + length * (np.arange(count) + 0.5) / count)
+    x = np.concatenate(xs)
+    return [x, limit_density(model, x)]
 
 
 def cmd_density(args) -> int:
-    if args.grid < 2:
-        raise ConfigError("--grid must be at least 2")
+    _count(args.grid, 2, "--grid")
     model, coin_cfg = _model_from(args)
     intervals = support_intervals(model)
     config = {
@@ -289,13 +301,12 @@ def cmd_density(args) -> int:
         "format": args.format,
         "support": list(intervals.endpoint_values()),
     }
-    rows = _density_rows(model, args.grid)
-    return _emit_table(args, "density", config, ["x", "f"], rows)
+    columns = _density_rows(model, args.grid)
+    return _emit_table(args, "density", config, ["x", "f"], columns)
 
 
 def cmd_compare(args) -> int:
-    if args.steps < 3:
-        raise ConfigError("--steps must be at least 3")
+    _count(args.steps, 3, "--steps")
     model, coin_cfg = _model_from(args)
     config = {
         "subcommand": "compare",
@@ -324,24 +335,11 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _sweep_workers() -> int:
-    """Thread count from ``TRIWALK_SWEEP_WORKERS``, capped at the CPU count."""
-    text = os.environ.get(_WORKERS_ENV, "1") or "1"
-    try:
-        workers = int(text)
-    except ValueError:
-        raise ConfigError(f"{_WORKERS_ENV} must be an integer, got {text!r}") from None
-    if workers < 1:
-        raise ConfigError(f"{_WORKERS_ENV} must be at least 1, got {workers}")
-    return min(workers, os.cpu_count() or 1)
-
-
 def cmd_sweep(args) -> int:
     lo, hi, count = _parse_range(args.theta_sweep)
-    if args.steps < 0:
-        raise ConfigError("--steps must be nonnegative")
+    _count(args.steps, 0, "--steps")
     spin = _resolve_spin(args)
-    thetas = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    thetas = lo + (hi - lo) * np.arange(count) / (count - 1)
     config = {
         "subcommand": "sweep",
         "theta_sweep": [lo, hi, count],
@@ -349,22 +347,12 @@ def cmd_sweep(args) -> int:
         "steps": args.steps,
         "format": args.format,
     }
-
-    def one(theta: float):
-        dist = distribution(evolve(spin, three_period_protocol(theta), args.steps))
-        return [
-            (theta, int(x), float(p))
-            for x, p in zip(dist.positions, dist.probabilities)
-        ]
-
-    workers = _sweep_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(one, thetas))
-    else:
-        chunks = [one(theta) for theta in thetas]
-    rows = [row for chunk in chunks for row in chunk]
-    return _emit_table(args, "sweep", config, ["theta", "x", "p"], rows)
+    dists = [
+        distribution(evolve(spin, three_period_protocol(theta), args.steps))
+        for theta in thetas.tolist()
+    ]
+    columns = _dist_columns(dists, thetas)
+    return _emit_table(args, "sweep", config, ["theta", "x", "p"], columns)
 
 
 def _add_spin_options(parser: argparse.ArgumentParser) -> None:

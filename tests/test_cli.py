@@ -8,7 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from triwalk import (
+    InitialSpin,
+    LimitModel,
+    general_coin,
+    limit_density,
+    rotation_coin,
+    support_intervals,
+)
 from triwalk.cli import main
+from triwalk.limit import ENDPOINT_EXCLUSION
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 PI4 = "0.7853981633974483"
@@ -119,8 +128,6 @@ def test_density_headers_record_support(tmp_path, gap_model):
     header, rows = read_csv(out)
     support_line = next(line for line in header if "support" in line)
     assert support_line.count(",") == 3
-    from triwalk import support_intervals
-
     lo, hi = support_intervals(gap_model).positive
     xs = np.array([r[0] for r in rows])
     fs = np.array([r[1] for r in rows])
@@ -148,6 +155,37 @@ def test_density_general_zero_phases_matches_rotation_values(tmp_path):
     _, rot_rows = read_csv(rot)
     _, gen_rows = read_csv(gen)
     assert rot_rows == gen_rows
+
+
+@pytest.mark.parametrize("grid", [2, 400])
+@pytest.mark.parametrize(
+    "model",
+    [
+        ["--theta", repr(2 * math.pi / 5)],  # gapped
+        ["--theta", PI4, "--alpha=0.6,0", "--beta=0,0.8"],  # gapless
+        ["--coin", "0.3,-1.1,0.7,1.0", "--alpha=0.28,-0.96", "--beta=0,0"],
+    ],
+)
+def test_density_rows_match_pointwise_limit_density(tmp_path, model, grid):
+    """The array-wide table equals the point-by-point one, bit for bit."""
+    out = tmp_path / "dens.csv"
+    assert main(["density", *model, "--grid", str(grid), "-o", str(out)]) == 0
+    header, rows = read_csv(out)
+    config = {k: json.loads(v) for k, v in (h[2:].split("=", 1) for h in header if "=" in h)}
+    coin = general_coin(*config["coin"]) if "coin" in config else rotation_coin(config["theta"])
+    spin = InitialSpin(complex(*config["alpha"]), complex(*config["beta"]))
+    law = LimitModel(coin, spin)
+    bounds = [-1.0, *support_intervals(law).endpoint_values().tolist(), 1.0]
+    expected = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        length = hi - lo
+        if length <= 2.0 * ENDPOINT_EXCLUSION:
+            continue
+        count = max(1, round(grid * length / 2.0))
+        for i in range(count):
+            x = lo + length * (i + 0.5) / count
+            expected.append([x, limit_density(law, x)])
+    assert rows == expected
 
 
 def test_compare_report_structure(tmp_path):
@@ -187,56 +225,36 @@ def test_sweep_rows_cover_all_angles(tmp_path):
         assert abs(sum(r[2] for r in rows if r[0] == theta) - 1.0) <= 1e-10
 
 
-def test_sweep_parallel_output_identical(tmp_path):
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    args = ["sweep", "--theta-sweep", "0.4:2.7:6", "--steps", "30"]
-    assert main([*args, "-o", str(serial)]) == 0
-    os.environ["TRIWALK_SWEEP_WORKERS"] = "4"
-    try:
-        assert main([*args, "-o", str(threaded)]) == 0
-    finally:
-        del os.environ["TRIWALK_SWEEP_WORKERS"]
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
-def test_bad_sweep_workers_exit_code(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("TRIWALK_SWEEP_WORKERS", value)
-    out = tmp_path / "sweep.csv"
-    args = ["sweep", "--theta-sweep", "0.4:2.7:3", "--steps", "5", "-o", str(out)]
-    assert main(args) == 2
-    assert "TRIWALK_SWEEP_WORKERS" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_sweep_workers_capped_at_cpu_count(tmp_path, monkeypatch):
-    import triwalk.cli
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a single CPU must not start a thread pool")
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(triwalk.cli, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setenv("TRIWALK_SWEEP_WORKERS", "2")
-    out = tmp_path / "sweep.csv"
-    args = ["sweep", "--theta-sweep", "0.4:2.7:3", "--steps", "5", "-o", str(out)]
-    assert main(args) == 0
-    assert out.exists()
-
-
 def test_json_and_csv_round_trip_identically(tmp_path):
     csv_path = tmp_path / "run.csv"
     json_path = tmp_path / "run.json"
-    base = ["simulate", "--theta", PI4, *SYMMETRIC, "--steps", "60"]
-    assert main([*base, "-o", str(csv_path)]) == 0
-    assert main([*base, "--format", "json", "-o", str(json_path)]) == 0
-    _, csv_rows = read_csv(csv_path)
-    data = json.loads(json_path.read_text())["data"]
-    assert data["columns"] == ["x", "p"]
-    assert len(data["rows"]) == len(csv_rows)
-    for (jx, jp), (cx, cp) in zip(data["rows"], csv_rows):
-        assert float(jx) == cx and float(jp) == cp
+    coins = [f"--coin=0.3,-1.1,0.7,{t}" for t in (1.0, 0.4, 2.2)]
+    surface = {"t": int, "x": int, "p": float}
+    runs = [
+        (["simulate", "--theta", PI4, *SYMMETRIC, "--steps", "60"], {"x": int, "p": float}),
+        (["simulate", "--theta", "0.4", "--steps", "12", "--every", "5"], surface),
+        (["three-coin", *coins, "--steps", "10", "--every", "3"], surface),
+        (
+            ["sweep", "--theta-sweep", "0.4:2.7:4", "--steps", "9"],
+            {"theta": float, "x": int, "p": float},
+        ),
+        (
+            ["density", "--coin", "0.3,-1.1,0.7,1.0", "--alpha=0.6,0", "--beta=0,0.8"],
+            {"x": float, "f": float},
+        ),
+    ]
+    for base, columns in runs:
+        assert main([*base, "-o", str(csv_path)]) == 0
+        assert main([*base, "--format", "json", "-o", str(json_path)]) == 0
+        lines = csv_path.read_text().splitlines()
+        assert f"# columns: {','.join(columns)}" in lines
+        csv_rows = [line.split(",") for line in lines if not line.startswith("#")]
+        data = json.loads(json_path.read_text())["data"]
+        assert data["columns"] == list(columns)
+        assert len(data["rows"]) == len(csv_rows) > 0
+        for json_row, csv_row in zip(data["rows"], csv_rows):
+            for kind, jv, cv in zip(columns.values(), json_row, csv_row, strict=True):
+                assert type(jv) is kind and kind(cv) == jv
 
 
 def test_identical_runs_are_byte_identical(tmp_path):
@@ -347,18 +365,28 @@ def test_io_error_exit_code(tmp_path):
     assert code == 4
 
 
+HUGE = str(10**20)
+
+
 @pytest.mark.parametrize(
     "args",
     [
-        ["simulate", "--theta", PI4],
-        ["compare", "--theta", PI4],
-        ["simulate", "--theta", PI4, "--every", "1"],
+        ["simulate", "--theta", PI4, "--steps", str(10**15)],
+        ["compare", "--theta", PI4, "--steps", str(10**15)],
+        ["simulate", "--theta", PI4, "--every", "1", "--steps", str(10**15)],
+        # sizes numpy refuses with ValueError rather than MemoryError
+        ["simulate", "--theta", PI4, "--steps", HUGE],
+        ["compare", "--theta", PI4, "--steps", HUGE],
+        ["sweep", "--theta-sweep", "0.3:1:3", "--steps", HUGE],
+        ["density", "--theta", PI4, "--grid", str(10**15)],
+        ["density", "--theta", PI4, "--grid", HUGE],
+        ["sweep", "--theta-sweep", f"0.3:1:{HUGE}", "--steps", "3"],
     ],
 )
 def test_huge_steps_exit_code(tmp_path, capsys, args):
     # Each allocation is refused at once: nothing of that size is touched.
     out = tmp_path / "x.out"
-    assert main([*args, "--steps", str(10**15), "-o", str(out)]) == 2
+    assert main([*args, "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("triwalk: ") and "Traceback" not in err
     assert not out.exists()

@@ -1,15 +1,13 @@
-"""Contract fuzz: whatever the argv or environment, ``main`` exits 0/2/3/4
-and never prints a traceback.
+"""Contract fuzz: whatever the argv, ``main`` exits 0/2/3/4 and never
+prints a traceback.
 
 Sizes stay small (``--steps`` <= 60, ``--grid`` <= 200, sweeps of at most
-four angles) and the sweep worker variable never asks for more than one
-thread, so each example runs in milliseconds to a few hundred.
+four angles), so each example runs in milliseconds to a few hundred.
 """
 
 import contextlib
 import io
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -121,22 +119,16 @@ ARGV = st.one_of(
     argv=ARGV,
     extra=pick(*[st.just([])] * 7, st.lists(JUNK, min_size=1, max_size=2)),
     output=st.sampled_from([None, "out.txt", "out.txt", "missing/out.txt", "."]),
-    workers=st.sampled_from([None, "1", "abc", "0", "-1"]),
 )
-def test_cli_exit_codes_and_no_traceback(tmp_path, argv, extra, output, workers):
+def test_cli_exit_codes_and_no_traceback(tmp_path, argv, extra, output):
     if output is not None:
         argv = [*argv, f"--output={tmp_path / output}"]
     argv = [*argv, *extra]
     stderr = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        if workers is None:
-            mp.delenv("TRIWALK_SWEEP_WORKERS", raising=False)
-        else:
-            mp.setenv("TRIWALK_SWEEP_WORKERS", workers)
-        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     assert code in EXIT_CODES, (argv, code, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue(), argv
