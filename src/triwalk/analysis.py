@@ -15,15 +15,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NoGap
-from .kspace import DEFAULT_CELLS, kspace_moment, limit_cdf
+from .kspace import kspace_moment, limit_cdf
 from .limit import LimitModel, support_intervals
 from .walk import (
     PositionDistribution,
+    _distributions,
     canonical_protocol,
     distribution,
     empirical_moment,
     evolve,
-    step,
 )
 
 __all__ = [
@@ -110,19 +110,13 @@ def ks_statistic(
     return worst
 
 
-def ks_distance(
-    dist: PositionDistribution,
-    scale: float,
-    model: LimitModel,
-    *,
-    cells: int = DEFAULT_CELLS,
-) -> float:
+def ks_distance(dist: PositionDistribution, scale: float, model: LimitModel) -> float:
     """KS distance between the rescaled position ``X/scale`` and the limit law."""
     ecdf = empirical_cdf(dist, scale)
     endpoints = support_intervals(model).endpoint_values()
     return ks_statistic(
         ecdf,
-        lambda xs: limit_cdf(model, xs, cells=cells, refine=False),
+        lambda xs: limit_cdf(model, xs, refine=False),
         extra_points=endpoints,
     )
 
@@ -173,15 +167,11 @@ class MomentErrors:
 
 
 def moment_report(
-    model: LimitModel,
-    times: Sequence[int],
-    r_max: int = 4,
-    *,
-    cells: int = DEFAULT_CELLS,
+    model: LimitModel, times: Sequence[int], r_max: int = 4
 ) -> list[MomentErrors]:
     """Moment-error sweep over walk times (headline check uses multiples of 3)."""
     _check_r_max(r_max)
-    reference = {r: kspace_moment(model, r, cells=cells) for r in range(r_max + 1)}
+    reference = {r: kspace_moment(model, r) for r in range(r_max + 1)}
     protocol = canonical_protocol(model.coin)
     out = []
     for t in times:
@@ -223,13 +213,12 @@ def compare_distribution(
     scale: float,
     *,
     r_max: int = 4,
-    cells: int = DEFAULT_CELLS,
 ) -> ComparisonReport:
     """Full comparison of one distribution against the limit law of ``model``."""
     _check_r_max(r_max)
-    ks = ks_distance(dist, scale, model, cells=cells)
+    ks = ks_distance(dist, scale, model)
     moments = tuple(
-        (r, abs(empirical_moment(dist, r, scale) - kspace_moment(model, r, cells=cells)))
+        (r, abs(empirical_moment(dist, r, scale) - kspace_moment(model, r)))
         for r in range(r_max + 1)
     )
     try:
@@ -247,25 +236,15 @@ def compare_distribution(
     )
 
 
-def compare_walk(
-    model: LimitModel,
-    time: int,
-    *,
-    r_max: int = 4,
-    cells: int = DEFAULT_CELLS,
-) -> ComparisonReport:
+def compare_walk(model: LimitModel, time: int, *, r_max: int = 4) -> ComparisonReport:
     """Evolve the canonical cycle to ``time`` and compare against the limit law."""
     protocol = canonical_protocol(model.coin)
     dist = distribution(evolve(model.spin, protocol, time))
-    return compare_distribution(model, dist, time, r_max=r_max, cells=cells)
+    return compare_distribution(model, dist, time, r_max=r_max)
 
 
 def offphase_compare(
-    model: LimitModel,
-    t: int,
-    *,
-    r_max: int = 4,
-    cells: int = DEFAULT_CELLS,
+    model: LimitModel, t: int, *, r_max: int = 4
 ) -> tuple[ComparisonReport, ComparisonReport]:
     """Compare the walk at times ``3t+1`` and ``3t+2`` against the same limit law.
 
@@ -276,12 +255,5 @@ def offphase_compare(
     if t < 1:
         raise ValueError("t must be at least 1")
     protocol = canonical_protocol(model.coin)
-    state = evolve(model.spin, protocol, 3 * t + 1)
-    first = compare_distribution(
-        model, distribution(state), 3 * t + 1, r_max=r_max, cells=cells
-    )
-    state = step(state, protocol.coins[(3 * t + 1) % 3])
-    second = compare_distribution(
-        model, distribution(state), 3 * t + 2, r_max=r_max, cells=cells
-    )
-    return first, second
+    dists = _distributions(model.spin, protocol, [3 * t + 1, 3 * t + 2])
+    return tuple(compare_distribution(model, d, d.t, r_max=r_max) for d in dists)

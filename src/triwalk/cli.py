@@ -33,10 +33,10 @@ from .limit import ENDPOINT_EXCLUSION, LimitModel, limit_density, support_interv
 from .walk import (
     InitialSpin,
     StepProtocol,
+    _distributions,
     canonical_protocol,
     distribution,
     evolve,
-    step,
     symmetric_spin,
     three_coin_protocol,
     three_period_protocol,
@@ -52,10 +52,6 @@ EXIT_IO = 4
 
 class ConfigError(Exception):
     """Invalid command-line configuration (exit code 2)."""
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _finite(value: float, what: str) -> float:
@@ -166,25 +162,22 @@ def _write_json(path, config: dict, payload_key: str, payload) -> None:
 def _emit_table(args, command: str, config: dict, names: list[str], columns) -> int:
     """Write numpy ``columns`` as CSV or JSON rows.
 
-    Int columns are written as ints and every other column with ``_fmt``;
-    JSON rows hold the columns' ``tolist()`` values.
+    CSV writes int columns with ``%d`` and every other column with
+    ``%.17g``; JSON rows hold the columns' ``tolist()`` values.
     """
     values = [column.tolist() for column in columns]
     if args.format == "json":
         rows = [list(row) for row in zip(*values)]
         _write_json(args.output, config, "data", {"columns": names, "rows": rows})
         return EXIT_OK
-    cells = [
-        map(str if column.dtype.kind == "i" else _fmt, column_values)
-        for column, column_values in zip(columns, values)
-    ]
+    row = ",".join("%d" if c.dtype.kind == "i" else "%.17g" for c in columns) + "\n"
     handle, close = _open_output(args.output)
     try:
         handle.write(f"# triwalk {command}\n")
         for key, value in config.items():
             handle.write(f"# {key}={json.dumps(value)}\n")
         handle.write(f"# columns: {','.join(names)}\n")
-        handle.writelines(",".join(row) + "\n" for row in zip(*cells))
+        handle.writelines(map(row.__mod__, zip(*values)))
     finally:
         if close:
             handle.close()
@@ -231,7 +224,10 @@ def _model_from(args) -> tuple[LimitModel, dict]:
     return LimitModel(coin, spin), coin_cfg
 
 
-def _checkpoints(steps: int, every: int) -> list[int]:
+def _checkpoints(steps: int, every: int | None) -> list[int]:
+    """Times to write: every ``every`` steps and the last, or the last alone."""
+    if every is None:
+        return [steps]
     points = list(range(0, steps + 1, every))
     if points[-1] != steps:
         points.append(steps)
@@ -252,20 +248,11 @@ def cmd_simulate(args) -> int:
         "every": args.every,
         "format": args.format,
     }
-    if args.every is None:
-        columns = _dist_columns([distribution(evolve(spin, protocol, args.steps))])
-        return _emit_table(args, "simulate", config, ["x", "p"], columns)
     times = _checkpoints(args.steps, args.every)
-    wanted = set(times)
-    dists = []
-    state = evolve(spin, protocol, 0)
-    for t in range(args.steps + 1):
-        if t:
-            state = step(state, protocol.coins[(t - 1) % protocol.period])
-        if t in wanted:
-            dists.append(distribution(state))
-    columns = _dist_columns(dists, times)
-    return _emit_table(args, "simulate", config, ["t", "x", "p"], columns)
+    keys = None if args.every is None else times
+    columns = _dist_columns(_distributions(spin, protocol, times), keys)
+    names = ["x", "p"] if keys is None else ["t", "x", "p"]
+    return _emit_table(args, "simulate", config, names, columns)
 
 
 def _density_rows(model: LimitModel, grid: int) -> list[np.ndarray]:

@@ -12,6 +12,7 @@ three-step cycle ``[coin, coin, identity]``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,17 +183,21 @@ def step(state: WalkState, coin: CoinOperator) -> WalkState:
     return WalkState(state.t + 1, out)
 
 
-def evolve(spin: InitialSpin, protocol: StepProtocol, steps: int) -> WalkState:
-    """Run ``steps`` steps from a point mass at the origin with spin ``spin``.
+def _stepping(
+    spin: InitialSpin, protocol: StepProtocol, steps: int
+) -> Iterator[np.ndarray]:
+    """Yield the amplitude array after each of ``0 .. steps`` steps.
 
-    Every amplitude is kept from the start in its column at time ``steps``.
-    A shift never moves spin-0's column; spin-1's window starts at the last
-    column and moves one even column left per step.  So step ``t`` applies
-    the coin in place to the ``t + 1`` occupied pairs, spin-0 columns
-    ``0, 2, .., 2t`` against spin-1 columns ``2(steps - t), .., 2 steps``;
-    the arithmetic per step is identical to :func:`step`.  An identity step
-    does nothing, and the odd (parity-zero) columns are never written.
-    ``steps == 0`` returns the point-mass state.
+    One ``(2, 2 steps + 1)`` array is allocated before the first yield and
+    updated in place; a consumer copies what it keeps.  Every amplitude
+    sits from the start in its column at time ``steps``: a shift never
+    moves spin-0's column, and spin-1's window starts at the last column
+    and moves one even column left per step.  So after ``t`` steps the
+    state is spin-0 columns ``0 .. 2t`` and spin-1 columns
+    ``2(steps - t) .. 2 steps``, and step ``t`` applies the coin in place
+    to the ``t + 1`` even-offset pairs of those windows; the arithmetic per
+    step is identical to :func:`step`.  An identity step does nothing, and
+    the odd (parity-zero) columns are never written.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -200,10 +205,21 @@ def evolve(spin: InitialSpin, protocol: StepProtocol, steps: int) -> WalkState:
     amp[0, 0] = spin.alpha
     amp[1, 2 * steps] = spin.beta
     coins = [None if c.is_identity() else c.matrix for c in protocol.coins]
+    yield amp
     for t in range(steps):
         m = coins[t % len(coins)]
         if m is not None:
             _coin(m, amp[0, : 2 * t + 1 : 2], amp[1, 2 * (steps - t) :: 2])
+        yield amp
+
+
+def evolve(spin: InitialSpin, protocol: StepProtocol, steps: int) -> WalkState:
+    """Run ``steps`` steps from a point mass at the origin with spin ``spin``.
+
+    ``steps == 0`` returns the point-mass state.
+    """
+    for amp in _stepping(spin, protocol, steps):
+        pass
     return WalkState(steps, amp)
 
 
@@ -243,6 +259,23 @@ def distribution(state: WalkState) -> PositionDistribution:
         probabilities=p[::2],
         t=state.t,
     )
+
+
+def _distributions(
+    spin: InitialSpin, protocol: StepProtocol, times: list[int]
+) -> list[PositionDistribution]:
+    """:func:`distribution` at each of the strictly increasing ``times``,
+    read from one evolution to ``times[-1]``.
+
+    Each equals, bit for bit, the distribution after folded :func:`step` calls.
+    """
+    last = times[-1]
+    dists = []
+    for t, amp in enumerate(_stepping(spin, protocol, last)):
+        if t == times[len(dists)]:
+            occupied = np.stack((amp[0, : 2 * t + 1], amp[1, 2 * (last - t) :]))
+            dists.append(distribution(WalkState(t, occupied)))
+    return dists
 
 
 def empirical_moment(dist: PositionDistribution, r: int, scale: float) -> float:

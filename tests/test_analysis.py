@@ -10,6 +10,7 @@ from triwalk import (
     LimitModel,
     NoGap,
     PositionDistribution,
+    canonical_protocol,
     compare_distribution,
     compare_walk,
     distribution,
@@ -24,6 +25,7 @@ from triwalk import (
     moment_report,
     offphase_compare,
     rotation_coin,
+    step,
     symmetric_spin,
     three_period_protocol,
 )
@@ -185,6 +187,19 @@ def test_offphase_small_time_is_well_defined(pi4_model):
     assert 0.0 <= second.ks_distance <= 1.0
     with pytest.raises(ValueError):
         offphase_compare(pi4_model, 0)
+
+
+@pytest.mark.parametrize(
+    "coin", [rotation_coin(2 * math.pi / 5), general_coin(0.4, 1.2, 2.2, 2.0)]
+)
+def test_offphase_compare_equals_evolve_then_step(coin):
+    model = LimitModel(coin, InitialSpin(0.6, 0.8j))
+    protocol = canonical_protocol(coin)
+    state = evolve(model.spin, protocol, 16)
+    first = compare_distribution(model, distribution(state), 16, r_max=2)
+    state = step(state, protocol.coins[16 % 3])
+    second = compare_distribution(model, distribution(state), 17, r_max=2)
+    assert offphase_compare(model, 5, r_max=2) == (first, second)
 
 
 def test_general_coin_walk_converges_to_its_limit_law():

@@ -381,6 +381,16 @@ HUGE = str(10**20)
         ["density", "--theta", PI4, "--grid", str(10**15)],
         ["density", "--theta", PI4, "--grid", HUGE],
         ["sweep", "--theta-sweep", f"0.3:1:{HUGE}", "--steps", "3"],
+        # two checkpoints, so only the one evolution allocates
+        ["simulate", "--theta", PI4, "--steps", str(10**17), "--every", str(10**17)],
+        [
+            "three-coin",
+            *(f"--coin=0.3,-1.1,0.7,{t}" for t in (1.0, 0.4, 2.2)),
+            "--steps",
+            str(10**17),
+            "--every",
+            str(10**17),
+        ],
     ],
 )
 def test_huge_steps_exit_code(tmp_path, capsys, args):

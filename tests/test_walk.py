@@ -23,6 +23,7 @@ from triwalk import (
     three_coin_protocol,
     three_period_protocol,
 )
+from triwalk.walk import _distributions
 
 from _oracles import (
     dense_amplitude,
@@ -212,12 +213,23 @@ def test_evolve_equals_folded_steps_bitwise():
     for protocol in protocols:
         alpha, beta = random_spin(rng)
         spin = InitialSpin(alpha, beta)
+        # One reader pass gives every time; a sparse pass skips the others.
+        read = _distributions(spin, protocol, list(range(41)))
+        sparse = _distributions(spin, protocol, [3, 17, 40])
+        assert [d.t for d in read] == list(range(41))
         for steps in range(41):
             direct = evolve(spin, protocol, steps)
             folded = point_mass(alpha, beta)
             for t in range(steps):
                 folded = step(folded, protocol.coins[t % protocol.period])
             assert np.array_equal(direct.amplitudes, folded.amplitudes)
+            expected = distribution(folded)
+            assert np.array_equal(read[steps].positions, expected.positions)
+            assert np.array_equal(read[steps].probabilities, expected.probabilities)
+        for dist in sparse:
+            assert np.array_equal(dist.positions, read[dist.t].positions)
+            assert np.array_equal(dist.probabilities, read[dist.t].probabilities)
+        assert [d.t for d in sparse] == [3, 17, 40]
 
 
 def _dense_vector(state, t_max):
