@@ -7,11 +7,23 @@ applies a coin to every spinor and then shifts: the spin-0 amplitude moves
 one site left, the spin-1 amplitude one site right.  Coins are drawn
 cyclically from a :class:`StepProtocol`; the canonical instance is the
 three-step cycle ``[coin, coin, identity]``.
+
+:func:`evolve` reaches time ``T`` by one of two methods.  Below 50 steps it
+steps, as :func:`step` does, in O(T^2).  From 50 steps on it solves the walk
+in momentum space (Ambainis, Bach, Nayak, Vishwanath & Watrous, "One-
+dimensional quantum walks", STOC 2001): the period block is raised to the
+number of whole periods at ``T + 1`` momenta, and one inverse FFT gives
+every amplitude, in O(T log T).  Up to T = 9,999 the two agree to within
+1e-13 in every amplitude; the FFT's norm drifts by about 4.5e-17 per step
+(4.5e-13 at T = 9,999, 4.5e-12 at 99,999), and its odd columns are exactly
+zero, as the stepped ones are.  Checkpoints read during one walk
+(:func:`_distributions`) always come from stepping.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -213,13 +225,112 @@ def _stepping(
         yield amp
 
 
+# Quarter turns (-i)^u for u = 0..3; multiplying by one is exact.
+_QUARTER_TURNS = np.array([1, -1j, -1, 1j])
+# Walks of fewer steps are stepped, longer ones go through the FFT.  The two
+# cost the same near T = 9 (~60 us, numpy 2.4, 2-vCPU VM) and stepping costs
+# at most ~0.25 ms more up to here, so short walks keep the exact arithmetic
+# of folded `step` calls.
+_FOURIER_MIN_STEPS = 50
+
+
+def _roots_of_unity(n: int) -> np.ndarray:
+    """``exp(-2 pi i j / n)`` for ``j = 0 .. n-1``.
+
+    Each angle is split in integer arithmetic into its nearest quarter turn
+    and a rest of at most ``pi / 4``, and only the rest goes through
+    ``np.exp``.  Multiplying ``j`` by a rounded ``2 pi / n`` instead would
+    err by a phase linear in ``j``, which a T-th power turns into a shift of
+    the walk by about ``T * 1e-16`` sites: 1.2e-12 in amplitude at
+    T = 9,999 for a pure shift, against 6e-14 this way.
+    """
+    quarters = 4 * np.arange(n)
+    turn = (quarters + n // 2) // n
+    rest = quarters - turn * n
+    return np.exp((-0.5j * np.pi / n) * rest) * _QUARTER_TURNS[turn % 4]
+
+
+def _per_k_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The product ``x @ y`` at each of ``n`` momenta, entry by entry.
+
+    ``x`` has shape ``(2, 2, n)``; ``y`` is ``(2, 2, n)`` or a column
+    ``(2, 1, n)``.
+    """
+    return x[:, :1] * y[:1] + x[:, 1:] * y[1:]
+
+
+def _period_blocks(
+    protocol: StepProtocol, w: np.ndarray, leftover: int
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Per-momentum products of the first ``leftover`` steps and of one period.
+
+    ``w`` holds ``exp(-2ik)``.  A step with coin ``C`` acts at momentum
+    ``k`` as ``diag(1, exp(-2ik)) @ C``, which is :func:`~triwalk.kspace.
+    fourier_block`'s ``S(k) @ C`` times ``exp(-ik)``; later steps go on the
+    left.  Both products have shape ``(2, 2, w.size)``; the first is
+    ``None`` when ``leftover`` is 0.
+    """
+    left = prod = None
+    for j, coin in enumerate(protocol.coins):
+        if j == leftover:
+            left = prod
+        m = coin.matrix
+        factor = np.empty((2, 2, w.size), dtype=np.complex128)
+        factor[0] = m[0, :, None]
+        factor[1] = m[1, :, None] * w
+        prod = factor if prod is None else _per_k_product(factor, prod)
+    return left, prod
+
+
+def _fourier_amplitudes(
+    spin: InitialSpin, protocol: StepProtocol, steps: int
+) -> np.ndarray:
+    """The amplitude array after ``steps`` steps, by one inverse FFT.
+
+    From a point mass the state at time ``T`` occupies the ``n = T + 1``
+    even columns, so it is fixed by its transform at the momenta
+    ``k_j = pi j / n``: ``U_T(k) (alpha, beta)``, where ``U_T`` is the
+    period block raised to ``T // period`` by repeated squaring, times the
+    first ``T % period`` steps of the next period on the left.  With the
+    phase ``exp(-ikT)`` already taken out of every step, the inverse FFT
+    over ``j`` is the amplitude at column ``2j``.  The odd columns are
+    never written.  Costs O(T log T) and O(T) memory.
+    """
+    amp = np.zeros((2, 2 * steps + 1), dtype=np.complex128)
+    power, leftover = divmod(steps, protocol.period)
+    left, block = _period_blocks(protocol, _roots_of_unity(steps + 1), leftover)
+    vec = np.empty((2, 1, steps + 1), dtype=np.complex128)
+    vec[0], vec[1] = spin.alpha, spin.beta
+    while power:
+        if power & 1:
+            vec = _per_k_product(block, vec)
+        power >>= 1
+        if power:
+            block = _per_k_product(block, block)
+    if left is not None:
+        vec = _per_k_product(left, vec)
+    amp[:, ::2] = np.fft.ifft(vec[:, 0], axis=-1)
+    return amp
+
+
 def evolve(spin: InitialSpin, protocol: StepProtocol, steps: int) -> WalkState:
     """Run ``steps`` steps from a point mass at the origin with spin ``spin``.
 
-    ``steps == 0`` returns the point-mass state.
+    ``steps == 0`` returns the point-mass state.  Walks of fewer than 50
+    steps are stepped (:func:`_stepping`, the arithmetic of :func:`step`);
+    longer ones are solved in momentum space by one inverse FFT
+    (:func:`_fourier_amplitudes`), in O(T log T) instead of O(T^2).  Both
+    give the same layout with exactly zero odd columns, and they agree to
+    within 1e-13 in every amplitude up to T = 9,999.
     """
-    for amp in _stepping(spin, protocol, steps):
-        pass
+    steps = operator.index(steps)
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    if steps < _FOURIER_MIN_STEPS:
+        for amp in _stepping(spin, protocol, steps):
+            pass
+    else:
+        amp = _fourier_amplitudes(spin, protocol, steps)
     return WalkState(steps, amp)
 
 

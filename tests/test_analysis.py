@@ -150,6 +150,33 @@ def test_moment_errors_shrink_with_time(pi4_model):
     assert late[2] < early[2]
 
 
+@pytest.mark.parametrize("t", [30, 999])
+def test_moment_report_of_one_time_equals_compare_walk(pi4_model, t):
+    (entry,) = moment_report(pi4_model, [t])
+    assert entry.time == t
+    assert entry.errors == compare_walk(pi4_model, t).moment_errors
+
+
+def test_moment_report_of_no_times_and_a_negative_time(pi4_model):
+    assert moment_report(pi4_model, []) == []
+    with pytest.raises(ValueError):
+        moment_report(pi4_model, [99, -3])
+
+
+@pytest.mark.parametrize(
+    "theta, spin, rel",
+    [
+        (2 * math.pi / 5, InitialSpin(1.0, 0.0), 1e-3),  # 0.26371 at both times
+        (math.pi / 4, InitialSpin(0.6, 0.8j), 2e-2),  # 0.15681, then 0.15855
+    ],
+)
+def test_first_moment_error_falls_as_one_over_time(theta, spin, rel):
+    model = LimitModel(rotation_coin(theta), spin)
+    report = moment_report(model, [9999, 99999], r_max=1)
+    scaled = [entry.time * dict(entry.errors)[1] for entry in report]
+    assert scaled[1] == pytest.approx(scaled[0], rel=rel)
+
+
 def test_compare_walk_report_fields(gap_model):
     report = compare_walk(gap_model, 99, r_max=2)
     assert report.time == 99

@@ -23,7 +23,14 @@ from triwalk import (
     three_coin_protocol,
     three_period_protocol,
 )
-from triwalk.walk import _distributions
+from triwalk.kspace import fourier_block
+from triwalk.walk import (
+    _FOURIER_MIN_STEPS,
+    _distributions,
+    _fourier_amplitudes,
+    _period_blocks,
+    _stepping,
+)
 
 from _oracles import (
     dense_amplitude,
@@ -196,21 +203,30 @@ def test_identity_step_is_exact_permutation():
     assert np.array_equal(shifted.amplitudes[1, 2:], state.amplitudes[1])
 
 
+COIN = general_coin(0.4, 1.2, 2.2, 2.0)
+PROTOCOLS = [
+    three_period_protocol(1.1),
+    canonical_protocol(COIN),
+    StepProtocol((rotation_coin(0.5), rotation_coin(2.6))),
+    three_coin_protocol(
+        general_coin(1.1, -0.3, 0.7, 0.9), COIN, general_coin(-2.0, 0.5, 1.9, 2.8)
+    ),
+    StepProtocol((identity_coin(), COIN, COIN)),
+    StepProtocol((COIN,)),
+    StepProtocol((identity_coin(),)),
+]
+
+
+def stepped(spin, protocol, steps):
+    """The stepping kernel drained to ``steps``."""
+    for amp in _stepping(spin, protocol, steps):
+        pass
+    return amp
+
+
 def test_evolve_equals_folded_steps_bitwise():
     rng = np.random.default_rng(13)
-    coin = general_coin(0.4, 1.2, 2.2, 2.0)
-    protocols = [
-        three_period_protocol(1.1),
-        canonical_protocol(coin),
-        StepProtocol((rotation_coin(0.5), rotation_coin(2.6))),
-        three_coin_protocol(
-            general_coin(1.1, -0.3, 0.7, 0.9), coin, general_coin(-2.0, 0.5, 1.9, 2.8)
-        ),
-        StepProtocol((identity_coin(), coin, coin)),
-        StepProtocol((coin,)),
-        StepProtocol((identity_coin(),)),
-    ]
-    for protocol in protocols:
+    for protocol in PROTOCOLS:
         alpha, beta = random_spin(rng)
         spin = InitialSpin(alpha, beta)
         # One reader pass gives every time; a sparse pass skips the others.
@@ -218,11 +234,11 @@ def test_evolve_equals_folded_steps_bitwise():
         sparse = _distributions(spin, protocol, [3, 17, 40])
         assert [d.t for d in read] == list(range(41))
         for steps in range(41):
-            direct = evolve(spin, protocol, steps)
+            direct = stepped(spin, protocol, steps)
             folded = point_mass(alpha, beta)
             for t in range(steps):
                 folded = step(folded, protocol.coins[t % protocol.period])
-            assert np.array_equal(direct.amplitudes, folded.amplitudes)
+            assert np.array_equal(direct, folded.amplitudes)
             expected = distribution(folded)
             assert np.array_equal(read[steps].positions, expected.positions)
             assert np.array_equal(read[steps].probabilities, expected.probabilities)
@@ -230,6 +246,61 @@ def test_evolve_equals_folded_steps_bitwise():
             assert np.array_equal(dist.positions, read[dist.t].positions)
             assert np.array_equal(dist.probabilities, read[dist.t].probabilities)
         assert [d.t for d in sparse] == [3, 17, 40]
+
+
+def test_fourier_amplitudes_match_stepping():
+    rng = np.random.default_rng(19)
+    for protocol in PROTOCOLS:
+        spin = InitialSpin(*random_spin(rng))
+        for steps in [*range(61), 999, 9999]:
+            fast = _fourier_amplitudes(spin, protocol, steps)
+            assert fast.shape == (2, 2 * steps + 1)
+            assert np.max(np.abs(fast - stepped(spin, protocol, steps))) <= 1e-12
+            assert np.all(fast[:, 1::2] == 0)
+        WalkState(9999, fast).validate(norm_tol=1e-10)
+
+
+def test_period_block_matches_fourier_block():
+    k = np.array([-2.9, -0.4, 0.3, 1.7, 3.1])
+    for protocol in PROTOCOLS:
+        _, block = _period_blocks(protocol, np.exp(-2j * k), 0)
+        # Each step's S(k) C carries the phase exp(ik) that the walk factors out.
+        phase = np.exp(1j * k * protocol.period)
+        for j in range(k.size):
+            expected = fourier_block(protocol, k[j])
+            assert np.allclose(block[..., j] * phase[j], expected, rtol=0, atol=1e-14)
+
+
+def test_evolve_takes_each_path_on_its_side_of_the_crossover():
+    spin = symmetric_spin()
+    protocol = canonical_protocol(COIN)
+    below = _FOURIER_MIN_STEPS - 1
+    state = evolve(spin, protocol, below)
+    assert np.array_equal(state.amplitudes, stepped(spin, protocol, below))
+    for steps in (_FOURIER_MIN_STEPS, 999):
+        state = evolve(spin, protocol, np.int64(steps))
+        assert type(state.t) is int and state.t == steps
+        fast = _fourier_amplitudes(spin, protocol, steps)
+        assert np.array_equal(state.amplitudes, fast)
+
+
+@pytest.mark.parametrize(
+    "small, large",
+    [
+        (-1, -1000),
+        (3.0, 1000.0),
+        (2.5, 999.5),
+        (np.float64(3), np.float64(1000)),
+        ("3", "1000"),
+    ],
+)
+def test_bad_steps_fail_alike_on_both_paths(small, large):
+    failures = []
+    for steps in (small, large):
+        with pytest.raises((TypeError, ValueError)) as info:
+            evolve(symmetric_spin(), three_period_protocol(1.0), steps)
+        failures.append((info.type, str(info.value)))
+    assert failures[0] == failures[1]
 
 
 def _dense_vector(state, t_max):
