@@ -19,6 +19,7 @@ from .kspace import kspace_moment, limit_cdf
 from .limit import LimitModel, support_intervals
 from .walk import (
     PositionDistribution,
+    _check_scale,
     _distributions,
     canonical_protocol,
     distribution,
@@ -76,12 +77,11 @@ class EmpiricalCdf:
 
 
 def empirical_cdf(dist: PositionDistribution, scale: float) -> EmpiricalCdf:
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    scale = _check_scale(scale)
     return EmpiricalCdf(
-        values=dist.positions / float(scale),
+        values=dist.positions / scale,
         cumulative=np.cumsum(dist.probabilities),
-        scale=float(scale),
+        scale=scale,
     )
 
 
@@ -133,11 +133,12 @@ def gap_mass(
     Counts mass at ``|x/scale| <= gap_edge - margin``.  Raises
     :class:`NoGap` when the support has no gap around the origin.
     """
+    scale = _check_scale(scale)
     lo = support_intervals(model).positive[0]
     if lo <= 0.0:
         raise NoGap("support branches overlap at the origin; there is no gap")
     cut = lo - margin
-    y = np.abs(dist.positions / float(scale))
+    y = np.abs(dist.positions / scale)
     return float(np.sum(dist.probabilities[y <= cut]))
 
 

@@ -23,6 +23,7 @@ mismatch is absorbed into ``LimitModel.effective_spin``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
@@ -242,8 +243,6 @@ def kspace_moment(model: LimitModel, r: int, *, cells: int = DEFAULT_CELLS) -> f
     """
     if not 0 <= r <= 8:
         raise ValueError("moment order must be between 0 and 8")
-    if cells < 16 or cells % 2:
-        raise ValueError("cells must be an even number, at least 16")
     coarse = _cached(_moment_table, model, cells)[r]
     fine = _cached(_moment_table, model, 2 * cells)[r]
     if abs(fine - coarse) > 1e-8:
@@ -324,8 +323,6 @@ class _CdfGrid:
     """
 
     def __init__(self, model: LimitModel, cells: int) -> None:
-        if cells < 16 or cells % 2:
-            raise ValueError("cells must be an even number, at least 16")
         c, s, alpha, beta = _reduced(model)
         self.c, self.s, self.alpha, self.beta = c, s, alpha, beta
         self.cells = cells
@@ -401,11 +398,14 @@ class _CdfGrid:
         return np.sum(seg, axis=0, where=below[[0, 1, 1, 2]])
 
 
-# Per-model derived data keyed by (builder, cells); entries go with the model.
+# Per-model derived data keyed by (builder, checked cells); entries go with the model.
 _CACHE: "WeakKeyDictionary[LimitModel, dict]" = WeakKeyDictionary()
 
 
 def _cached(build, model: LimitModel, cells: int):
+    cells = operator.index(cells)
+    if cells < 16 or cells % 2:
+        raise ValueError("cells must be an even number, at least 16")
     per_model = _CACHE.setdefault(model, {})
     key = (build, cells)
     if key not in per_model:
@@ -425,8 +425,8 @@ def limit_cdf(
     The mass below ``x`` is the overlap-weighted measure of quasi-momenta
     whose branch velocity does not exceed ``x``.  The momentum-space
     integrand is bounded and smooth, so this stays accurate where the
-    real-space density diverges.  Accuracy at the default grid, measured
-    against a quadrature of the closed-form density:
+    real-space density diverges.  NaN points give NaN.  Accuracy at the
+    default grid, measured against a quadrature of the closed-form density:
 
     - ``refine=True`` resolves the velocity level crossing inside each
       straddling grid cell: within 1.2e-9, and within 1e-10 at the four
@@ -440,6 +440,5 @@ def limit_cdf(
     arr = np.asarray(x, dtype=np.float64)
     flat = arr.ravel()
     out = np.clip(grid.refined(flat) if refine else grid.base(flat), 0.0, 1.0)
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    out[np.isnan(flat)] = np.nan
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

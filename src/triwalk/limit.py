@@ -212,7 +212,7 @@ def envelope_density(model: LimitModel, x) -> float | np.ndarray:
 
 
 def limit_density(model: LimitModel, x) -> float | np.ndarray:
-    """Limit density of the rescaled position; zero off the support.
+    """Limit density of the rescaled position; zero off the support, NaN at NaN.
 
     Raises :class:`EndpointSingularity` within ``1e-12`` of any of the four
     support endpoints, where the density diverges.
@@ -225,7 +225,7 @@ def limit_density(model: LimitModel, x) -> float | np.ndarray:
             "density diverges at the support endpoints; evaluate further inside"
         )
     lo, hi = intervals.positive
-    out = np.zeros_like(xs)
+    out = np.where(np.isnan(xs), np.nan, 0.0)
     on_pos = (xs > lo) & (xs < hi)
     if np.any(on_pos):
         xp = xs[on_pos]

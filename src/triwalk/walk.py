@@ -8,16 +8,13 @@ one site left, the spin-1 amplitude one site right.  Coins are drawn
 cyclically from a :class:`StepProtocol`; the canonical instance is the
 three-step cycle ``[coin, coin, identity]``.
 
-:func:`evolve` reaches time ``T`` by one of two methods.  Below 50 steps it
-steps, as :func:`step` does, in O(T^2).  From 50 steps on it solves the walk
-in momentum space (Ambainis, Bach, Nayak, Vishwanath & Watrous, "One-
-dimensional quantum walks", STOC 2001): the period block is raised to the
-number of whole periods at ``T + 1`` momenta, and one inverse FFT gives
-every amplitude, in O(T log T).  Up to T = 9,999 the two agree to within
-1e-13 in every amplitude; the FFT's norm drifts by about 4.5e-17 per step
-(4.5e-13 at T = 9,999, 4.5e-12 at 99,999), and its odd columns are exactly
-zero, as the stepped ones are.  Checkpoints read during one walk
-(:func:`_distributions`) always come from stepping.
+:func:`evolve` and every multi-time read go through :func:`_walk`.  Reads
+fewer than 50 steps apart on average are stepped, as :func:`step` does, in
+O(T^2); sparser ones each take one inverse FFT at ``T + 1`` momenta, in
+O(T log T) (Ambainis, Bach, Nayak, Vishwanath & Watrous, "One-dimensional
+quantum walks", STOC 2001).  Up to T = 9,999 the two agree to within 1e-13
+in every amplitude, the FFT's norm drifts by about 4.5e-17 per step, and
+both leave the odd columns exactly zero.
 """
 
 from __future__ import annotations
@@ -200,19 +197,15 @@ def _stepping(
 ) -> Iterator[np.ndarray]:
     """Yield the amplitude array after each of ``0 .. steps`` steps.
 
-    One ``(2, 2 steps + 1)`` array is allocated before the first yield and
-    updated in place; a consumer copies what it keeps.  Every amplitude
-    sits from the start in its column at time ``steps``: a shift never
-    moves spin-0's column, and spin-1's window starts at the last column
-    and moves one even column left per step.  So after ``t`` steps the
-    state is spin-0 columns ``0 .. 2t`` and spin-1 columns
-    ``2(steps - t) .. 2 steps``, and step ``t`` applies the coin in place
-    to the ``t + 1`` even-offset pairs of those windows; the arithmetic per
-    step is identical to :func:`step`.  An identity step does nothing, and
-    the odd (parity-zero) columns are never written.
+    One ``(2, 2 steps + 1)`` array is updated in place; a consumer copies
+    what it keeps.  Every amplitude sits from the start in its column at
+    time ``steps``: spin-0's column never moves, and spin-1's window starts
+    at the last column and moves one even column left per step.  So after
+    ``t`` steps the state is spin-0 columns ``0 .. 2t`` and spin-1 columns
+    ``2(steps - t) .. 2 steps``, and step ``t`` applies the coin in place to
+    the ``t + 1`` even-offset pairs of those windows, with the arithmetic of
+    :func:`step`.  Identity steps and odd columns are never touched.
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
     amp = np.zeros((2, 2 * steps + 1), dtype=np.complex128)
     amp[0, 0] = spin.alpha
     amp[1, 2 * steps] = spin.beta
@@ -227,10 +220,9 @@ def _stepping(
 
 # Quarter turns (-i)^u for u = 0..3; multiplying by one is exact.
 _QUARTER_TURNS = np.array([1, -1j, -1, 1j])
-# Walks of fewer steps are stepped, longer ones go through the FFT.  The two
-# cost the same near T = 9 (~60 us, numpy 2.4, 2-vCPU VM) and stepping costs
-# at most ~0.25 ms more up to here, so short walks keep the exact arithmetic
-# of folded `step` calls.
+# Reads fewer than this many steps apart on average are stepped.  For one read
+# stepping and the FFT cost the same near T = 9 (~60 us, numpy 2.4, 2-vCPU
+# VM), and stepping costs at most ~0.25 ms more up to here.
 _FOURIER_MIN_STEPS = 50
 
 
@@ -259,78 +251,91 @@ def _per_k_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[:, :1] * y[:1] + x[:, 1:] * y[1:]
 
 
-def _period_blocks(
-    protocol: StepProtocol, w: np.ndarray, leftover: int
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Per-momentum products of the first ``leftover`` steps and of one period.
+def _block(coins: tuple[CoinOperator, ...], w: np.ndarray) -> np.ndarray:
+    """``F_{n-1} ... F_0`` for steps with ``coins`` in order, ``(2, 2, w.size)``.
 
-    ``w`` holds ``exp(-2ik)``.  A step with coin ``C`` acts at momentum
-    ``k`` as ``diag(1, exp(-2ik)) @ C``, which is :func:`~triwalk.kspace.
-    fourier_block`'s ``S(k) @ C`` times ``exp(-ik)``; later steps go on the
-    left.  Both products have shape ``(2, 2, w.size)``; the first is
-    ``None`` when ``leftover`` is 0.
+    ``w`` holds ``exp(-2ik)``; at momentum ``k`` a step with coin ``C`` is
+    ``diag(1, w) @ C``, :func:`~triwalk.kspace.fourier_block`'s ``S(k) @ C``
+    times ``exp(-ik)``.
     """
-    left = prod = None
-    for j, coin in enumerate(protocol.coins):
-        if j == leftover:
-            left = prod
+    prod = None
+    for coin in coins:
         m = coin.matrix
-        factor = np.empty((2, 2, w.size), dtype=np.complex128)
-        factor[0] = m[0, :, None]
-        factor[1] = m[1, :, None] * w
+        factor = np.stack(np.broadcast_arrays(m[0, :, None], m[1, :, None] * w))
         prod = factor if prod is None else _per_k_product(factor, prod)
-    return left, prod
+    return prod
 
 
-def _fourier_amplitudes(
-    spin: InitialSpin, protocol: StepProtocol, steps: int
-) -> np.ndarray:
-    """The amplitude array after ``steps`` steps, by one inverse FFT.
+def _fourier_reads(
+    spin: InitialSpin, protocol: StepProtocol, times: list[int]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """:func:`_walk`'s reads by one inverse FFT each, in O(T log T).
 
-    From a point mass the state at time ``T`` occupies the ``n = T + 1``
-    even columns, so it is fixed by its transform at the momenta
-    ``k_j = pi j / n``: ``U_T(k) (alpha, beta)``, where ``U_T`` is the
-    period block raised to ``T // period`` by repeated squaring, times the
-    first ``T % period`` steps of the next period on the left.  With the
-    phase ``exp(-ikT)`` already taken out of every step, the inverse FFT
-    over ``j`` is the amplitude at column ``2j``.  The odd columns are
-    never written.  Costs O(T log T) and O(T) memory.
+    From a point mass the state at time ``t <= T = times[-1]`` fills the
+    first ``t + 1`` of ``n = T + 1`` even columns, so it is fixed by its
+    transform at ``k_j = pi j / n``.  Between reads it advances by the
+    steps to a period boundary, by the period block raised to the whole
+    periods by repeated squaring, and by the leftover steps.  With
+    ``exp(-ikt)`` taken out of every step, its inverse FFT is column ``2j``.
     """
-    amp = np.zeros((2, 2 * steps + 1), dtype=np.complex128)
-    power, leftover = divmod(steps, protocol.period)
-    left, block = _period_blocks(protocol, _roots_of_unity(steps + 1), leftover)
-    vec = np.empty((2, 1, steps + 1), dtype=np.complex128)
+    coins, period = protocol.coins, protocol.period
+    w = _roots_of_unity(times[-1] + 1)
+    period_block = _block(coins, w)
+    vec = np.empty((2, 1, times[-1] + 1), dtype=np.complex128)
     vec[0], vec[1] = spin.alpha, spin.beta
-    while power:
-        if power & 1:
-            vec = _per_k_product(block, vec)
-        power >>= 1
-        if power:
-            block = _per_k_product(block, block)
-    if left is not None:
-        vec = _per_k_product(left, vec)
-    amp[:, ::2] = np.fft.ifft(vec[:, 0], axis=-1)
-    return amp
+    now = 0
+    for t in times:
+        head = min(-now % period, t - now)
+        if head:
+            vec = _per_k_product(_block(coins[now % period :][:head], w), vec)
+        power, leftover = divmod(t - now - head, period)
+        block = period_block
+        while power:
+            if power & 1:
+                vec = _per_k_product(block, vec)
+            power >>= 1
+            if power:
+                block = _per_k_product(block, block)
+        del block  # the last square, before the leftover steps are built
+        if leftover:
+            vec = _per_k_product(_block(coins[:leftover], w), vec)
+        now = t
+        amp = np.zeros((2, 2 * t + 1), dtype=np.complex128)
+        amp[:, ::2] = np.fft.ifft(vec[:, 0], axis=-1)[:, : t + 1]
+        yield t, amp
+
+
+def _walk(
+    spin: InitialSpin, protocol: StepProtocol, times: list[int]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(t, amplitudes)``, a new array in the layout of
+    :class:`WalkState`, at each of the strictly increasing ``times``.
+
+    Reads fewer than 50 steps apart on average come from one
+    :func:`_stepping` pass, bit for bit folded :func:`step` calls; sparser
+    ones take one inverse FFT each (:func:`_fourier_reads`).
+    """
+    last = times[-1]
+    if len(times) * _FOURIER_MIN_STEPS <= last:
+        yield from _fourier_reads(spin, protocol, times)
+        return
+    wanted = set(times)
+    for t, amp in enumerate(_stepping(spin, protocol, last)):
+        if t in wanted:
+            yield t, np.stack((amp[0, : 2 * t + 1], amp[1, 2 * (last - t) :]))
 
 
 def evolve(spin: InitialSpin, protocol: StepProtocol, steps: int) -> WalkState:
     """Run ``steps`` steps from a point mass at the origin with spin ``spin``.
 
-    ``steps == 0`` returns the point-mass state.  Walks of fewer than 50
-    steps are stepped (:func:`_stepping`, the arithmetic of :func:`step`);
-    longer ones are solved in momentum space by one inverse FFT
-    (:func:`_fourier_amplitudes`), in O(T log T) instead of O(T^2).  Both
-    give the same layout with exactly zero odd columns, and they agree to
-    within 1e-13 in every amplitude up to T = 9,999.
+    ``steps == 0`` returns the point-mass state.  The state is :func:`_walk`'s
+    one read at ``steps``: stepped below 50 steps, from 50 on one inverse
+    FFT in O(T log T) instead of O(T^2).
     """
     steps = operator.index(steps)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    if steps < _FOURIER_MIN_STEPS:
-        for amp in _stepping(spin, protocol, steps):
-            pass
-    else:
-        amp = _fourier_amplitudes(spin, protocol, steps)
+    ((_, amp),) = _walk(spin, protocol, [steps])
     return WalkState(steps, amp)
 
 
@@ -375,18 +380,15 @@ def distribution(state: WalkState) -> PositionDistribution:
 def _distributions(
     spin: InitialSpin, protocol: StepProtocol, times: list[int]
 ) -> list[PositionDistribution]:
-    """:func:`distribution` at each of the strictly increasing ``times``,
-    read from one evolution to ``times[-1]``.
+    """:func:`distribution` at each of the strictly increasing ``times``."""
+    return [distribution(WalkState(t, amp)) for t, amp in _walk(spin, protocol, times)]
 
-    Each equals, bit for bit, the distribution after folded :func:`step` calls.
-    """
-    last = times[-1]
-    dists = []
-    for t, amp in enumerate(_stepping(spin, protocol, last)):
-        if t == times[len(dists)]:
-            occupied = np.stack((amp[0, : 2 * t + 1], amp[1, 2 * (last - t) :]))
-            dists.append(distribution(WalkState(t, occupied)))
-    return dists
+
+def _check_scale(scale: float) -> float:
+    """``scale`` as a float; anything not positive and finite is refused."""
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
+    return float(scale)
 
 
 def empirical_moment(dist: PositionDistribution, r: int, scale: float) -> float:
@@ -397,7 +399,5 @@ def empirical_moment(dist: PositionDistribution, r: int, scale: float) -> float:
     """
     if not 0 <= r <= 8:
         raise ValueError("moment order must be between 0 and 8")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    y = dist.positions / float(scale)
+    y = dist.positions / _check_scale(scale)
     return float(np.sum(y**r * dist.probabilities))

@@ -15,6 +15,7 @@ from triwalk import (
     compare_walk,
     distribution,
     empirical_cdf,
+    empirical_moment,
     evolve,
     gap_mass,
     general_coin,
@@ -234,3 +235,16 @@ def test_general_coin_walk_converges_to_its_limit_law():
     report = compare_walk(model, 300, r_max=2)
     assert report.ks_distance <= 0.08
     assert report.gap_mass is not None and report.gap_mass <= 0.05
+
+
+@pytest.mark.parametrize("scale", [0, -1, math.nan, math.inf])
+def test_scale_must_be_positive_and_finite(gap_model, scale):
+    dist = lattice_dist({-1: 0.5, 1: 0.5})
+    for call in (
+        lambda: empirical_cdf(dist, scale),
+        lambda: ks_distance(dist, scale, gap_model),
+        lambda: empirical_moment(dist, 2, scale),
+        lambda: gap_mass(dist, scale, gap_model),
+    ):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            call()

@@ -225,6 +225,21 @@ def test_sweep_rows_cover_all_angles(tmp_path):
         assert abs(sum(r[2] for r in rows if r[0] == theta) - 1.0) <= 1e-10
 
 
+def test_simulate_rows_equal_sweep_rows_at_the_same_angle(tmp_path):
+    # One walk at T = 600, read by simulate and by the sweep's first angle.
+    sim, swp = tmp_path / "sim.csv", tmp_path / "sweep.csv"
+    assert main(["simulate", "--theta", "0.7", "--steps", "600", "-o", str(sim)]) == 0
+    sweep = ["sweep", "--theta-sweep", "0.7:1.7:2", "--steps", "600", "-o", str(swp)]
+    assert main(sweep) == 0
+
+    def data(path):
+        return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+    first = [row.split(",", 1) for row in data(swp)]
+    expected = [xp for theta, xp in first if float(theta) == 0.7]
+    assert len(expected) == 601 and data(sim) == expected
+
+
 def test_json_and_csv_round_trip_identically(tmp_path):
     csv_path = tmp_path / "run.csv"
     json_path = tmp_path / "run.json"

@@ -390,3 +390,36 @@ def test_cdf_for_general_coin_matches_its_density():
         assert limit_cdf(model, b) - limit_cdf(model, a) == pytest.approx(
             direct, abs=1e-6
         )
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_nan_abscissas_give_nan(pi4_model, refine):
+    xs = np.array([np.nan, -np.inf, 0.1, np.inf, np.nan])
+    cdf = limit_cdf(pi4_model, xs, refine=refine)
+    assert np.all(np.isnan(cdf[[0, 4]]))
+    # +-inf keep their values: no mass below, all of it (to rounding) above.
+    assert cdf[1] == 0.0 and 0.0 < cdf[2] < 1.0
+    assert cdf[3] == pytest.approx(1.0, abs=1e-12)
+    assert math.isnan(limit_cdf(pi4_model, math.nan, refine=refine))
+    assert limit_cdf(pi4_model, -math.inf, refine=refine) == 0.0
+    assert limit_cdf(pi4_model, math.inf, refine=refine) == cdf[3]
+    density = limit_density(pi4_model, xs)
+    assert np.all(np.isnan(density[[0, 4]]))
+    assert density[1] == 0.0 and density[2] > 0.0 and density[3] == 0.0
+    assert math.isnan(limit_density(pi4_model, math.nan))
+    assert limit_density(pi4_model, -math.inf) == limit_density(pi4_model, math.inf) == 0.0
+
+
+@pytest.mark.parametrize("cells", [16.0, np.float64(16)], ids=["float", "float64"])
+def test_cells_must_be_an_integer(cells):
+    model = LimitModel(rotation_coin(1.2), InitialSpin(0.6, 0.8j))
+    # A grid memoized at 16 cells must not let an equal float through.
+    limit_cdf(model, 0.1, cells=16)
+    kspace_moment(model, 0, cells=16)
+    for call in (
+        lambda: kspace_moment(model, 0, cells=cells),
+        lambda: limit_cdf(model, 0.1, cells=cells),
+        lambda: pushforward_density(model, 100, cells=cells),
+    ):
+        with pytest.raises(TypeError):
+            call()

@@ -26,10 +26,11 @@ from triwalk import (
 from triwalk.kspace import fourier_block
 from triwalk.walk import (
     _FOURIER_MIN_STEPS,
+    _block,
     _distributions,
-    _fourier_amplitudes,
-    _period_blocks,
+    _fourier_reads,
     _stepping,
+    _walk,
 )
 
 from _oracles import (
@@ -224,6 +225,16 @@ def stepped(spin, protocol, steps):
     return amp
 
 
+def stepped_reads(spin, protocol, times):
+    """The stepping kernel's state at each of ``times``, from one pass."""
+    last = times[-1]
+    return {
+        t: np.stack((amp[0, : 2 * t + 1], amp[1, 2 * (last - t) :]))
+        for t, amp in enumerate(_stepping(spin, protocol, last))
+        if t in times
+    }
+
+
 def test_evolve_equals_folded_steps_bitwise():
     rng = np.random.default_rng(13)
     for protocol in PROTOCOLS:
@@ -250,20 +261,31 @@ def test_evolve_equals_folded_steps_bitwise():
 
 def test_fourier_amplitudes_match_stepping():
     rng = np.random.default_rng(19)
+    reads_rng = np.random.default_rng(23)
     for protocol in PROTOCOLS:
         spin = InitialSpin(*random_spin(rng))
         for steps in [*range(61), 999, 9999]:
-            fast = _fourier_amplitudes(spin, protocol, steps)
-            assert fast.shape == (2, 2 * steps + 1)
+            ((t, fast),) = _fourier_reads(spin, protocol, [steps])
+            assert t == steps and fast.shape == (2, 2 * steps + 1)
             assert np.max(np.abs(fast - stepped(spin, protocol, steps))) <= 1e-12
             assert np.all(fast[:, 1::2] == 0)
         WalkState(9999, fast).validate(norm_tol=1e-10)
+        # Sparse reads on one momentum grid: random ones and three close together.
+        picks = reads_rng.choice(2999, size=20, replace=False).tolist()
+        times = sorted({*picks, 1000, 1001, 1003, 2999})
+        expected = stepped_reads(spin, protocol, times)
+        reads = list(_fourier_reads(spin, protocol, times))
+        assert [t for t, _ in reads] == times
+        for t, fast in reads:
+            assert fast.shape == (2, 2 * t + 1)
+            assert np.max(np.abs(fast - expected[t])) <= 1e-12
+            assert np.all(fast[:, 1::2] == 0)
 
 
 def test_period_block_matches_fourier_block():
     k = np.array([-2.9, -0.4, 0.3, 1.7, 3.1])
     for protocol in PROTOCOLS:
-        _, block = _period_blocks(protocol, np.exp(-2j * k), 0)
+        block = _block(protocol.coins, np.exp(-2j * k))
         # Each step's S(k) C carries the phase exp(ik) that the walk factors out.
         phase = np.exp(1j * k * protocol.period)
         for j in range(k.size):
@@ -275,12 +297,27 @@ def test_evolve_takes_each_path_on_its_side_of_the_crossover():
     spin = symmetric_spin()
     protocol = canonical_protocol(COIN)
     below = _FOURIER_MIN_STEPS - 1
+    dense = [[below], list(range(41)), [3, 17, 40], list(range(0, 601, 10))]
+    sparse = [[_FOURIER_MIN_STEPS], [0, 100]]
+    for times in dense + sparse:
+        reads = list(_walk(spin, protocol, times))
+        assert [t for t, _ in reads] == times
+        stepped_side = stepped_reads(spin, protocol, times)
+        fourier_side = dict(_fourier_reads(spin, protocol, times))
+        if times in dense:
+            kernel, other = stepped_side, fourier_side
+        else:
+            kernel, other = fourier_side, stepped_side
+        for t, amp in reads:
+            assert np.array_equal(amp, kernel[t])
+        # The kernels differ in their last bits, so the choice is visible.
+        assert not np.array_equal(amp, other[t])
     state = evolve(spin, protocol, below)
     assert np.array_equal(state.amplitudes, stepped(spin, protocol, below))
     for steps in (_FOURIER_MIN_STEPS, 999):
         state = evolve(spin, protocol, np.int64(steps))
         assert type(state.t) is int and state.t == steps
-        fast = _fourier_amplitudes(spin, protocol, steps)
+        ((_, fast),) = _fourier_reads(spin, protocol, [steps])
         assert np.array_equal(state.amplitudes, fast)
 
 
