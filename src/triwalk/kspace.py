@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 DEFAULT_CELLS = 1 << 16
+# The default moment grid doubles from _MIN_CELLS until two tables agree to
+# _SETTLED in every order.
+_MIN_CELLS = 64
+_SETTLED = 1e-14
 
 _K_GUARD = 1e-9
 _EDGE_NUDGE = 1e-9
@@ -231,18 +235,45 @@ def _moment_table(model: LimitModel, cells: int) -> np.ndarray:
     return table
 
 
-def kspace_moment(model: LimitModel, r: int, *, cells: int = DEFAULT_CELLS) -> float:
+def kspace_moment(model: LimitModel, r: int, *, cells: int | None = None) -> float:
     """``r``-th moment of the limit law by midpoint quadrature over momentum.
 
-    Uses an open uniform grid (never sampling the degenerate points
-    ``k = 0, +-pi``) and one refinement doubling; the refined value is
-    returned.  Each grid yields every order 0..8 from one branch pass, and
-    the two tables are memoized per model and ``cells``, so the other
-    orders then cost nothing.  The 1e-8 refinement check applies to the
-    requested order only.  ``r`` is capped at 8 like the empirical moments.
+    Uses open uniform grids, which never sample the degenerate points
+    ``k = 0, +-pi``.  Each grid yields every order 0..8 from one branch
+    pass, and its table is memoized per model and grid size, so the other
+    orders then cost nothing.  ``r`` is an integer from 0 to 8, like the
+    empirical moments.  The integrand is smooth and periodic, so the error
+    falls exponentially with the grid size.  What each setting buys:
+
+    - ``cells=None`` (the default) doubles the grid from 64 cells and stops
+      at the first pair whose tables agree to 1e-14 in all nine orders,
+      returning the finer table's entry; the stop depends on the model
+      only, and that last difference is the error bound.  Angles at least
+      0.1 from a multiple of pi/2 settled by 2,048 cells; 0.01 takes 16,384.
+    - A model that has not settled by the pair ``(DEFAULT_CELLS,
+      2 * DEFAULT_CELLS)`` falls back to that pair as below.
+    - An explicit ``cells`` uses the pair ``(cells, 2 * cells)`` and returns
+      the finer value, after checking that the requested order moved by at
+      most 1e-8 between the two.
+
+    Raises
+    ------
+    ArithmeticError
+        If the 1e-8 check of the fixed pair fails.
     """
+    r = operator.index(r)
     if not 0 <= r <= 8:
         raise ValueError("moment order must be between 0 and 8")
+    if cells is None:
+        cells = _MIN_CELLS
+        coarse = _cached(_moment_table, model, cells)
+        while cells < DEFAULT_CELLS:
+            cells *= 2
+            fine = _cached(_moment_table, model, cells)
+            if np.max(np.abs(fine - coarse)) <= _SETTLED:
+                return float(fine[r])
+            coarse = fine
+        # Not settled: cells is now DEFAULT_CELLS, the fixed pair below.
     coarse = _cached(_moment_table, model, cells)[r]
     fine = _cached(_moment_table, model, 2 * cells)[r]
     if abs(fine - coarse) > 1e-8:
@@ -338,7 +369,10 @@ class _CdfGrid:
         self.h_right = _velocities(c, s, self.k_right).ravel()
         self.order = np.argsort(self.h_mid, kind="stable")
         self.sorted_h = self.h_mid[self.order]
-        self.cum_mass = np.concatenate(([0.0], np.cumsum(self.cell_mass[self.order])))
+        self.cum_mass = np.zeros(self.cell_mass.size + 1)
+        np.cumsum(self.cell_mass[self.order], out=self.cum_mass[1:])
+        # Divided by its total so that the mass above the support is exactly 1.
+        self.cum_mass /= self.cum_mass[-1]
         self.cmin = np.minimum(np.minimum(self.h_left, self.h_mid), self.h_right)
         self.cmax = np.maximum(np.maximum(self.h_left, self.h_mid), self.h_right)
         self.span = float(np.max(self.cmax - self.cmin))

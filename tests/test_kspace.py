@@ -224,6 +224,48 @@ def test_refinement_check_is_per_order(orders):
             assert math.isfinite(kspace_moment(model, r, cells=16))
 
 
+def test_default_grid_moments_match_the_fixed_pair():
+    spin = InitialSpin(0.6, 0.8j)
+    models = [
+        # the models of test_one_pass_moments_match_per_order_formula
+        LimitModel(rotation_coin(math.pi / 4), symmetric_spin()),
+        LimitModel(rotation_coin(2 * math.pi / 5), spin),
+        LimitModel(rotation_coin(2.5), spin),
+        LimitModel(general_coin(0.3, 0.1, 0.9, 1.0), spin),
+        LimitModel(
+            general_coin(-1.1, 2.0, 0.4, 0.6),
+            InitialSpin(complex(0.48, 0.36), complex(0.0, -0.8)),
+        ),
+        # small angles settle late, near pi/2 early
+        *(LimitModel(rotation_coin(theta), spin) for theta in (0.01, 0.05, 1.56)),
+    ]
+    for model in models:
+        for r in range(9):
+            fixed = kspace_moment(model, r, cells=kspace.DEFAULT_CELLS)
+            assert abs(kspace_moment(model, r) - fixed) <= 1e-14
+
+
+def test_default_grid_falls_back_to_the_fixed_pair():
+    # Rounding noise of ~1e-11 keeps this table from settling to 1e-14.
+    model = LimitModel(rotation_coin(1.5706), InitialSpin(0.6, 0.8j))
+    for r in range(9):
+        assert kspace_moment(model, r) == kspace_moment(
+            model, r, cells=kspace.DEFAULT_CELLS
+        )
+
+
+def test_default_grid_stops_early_on_a_smooth_integrand():
+    model = LimitModel(rotation_coin(math.pi / 4), symmetric_spin())
+    kspace_moment(model, 2)
+    assert max(cells for _, cells in kspace._CACHE[model]) <= 512
+
+
+@pytest.mark.parametrize("r", [2.0, 2.5, "2"])
+def test_moment_order_must_be_an_integer(pi4_model, r):
+    with pytest.raises(TypeError):
+        kspace_moment(pi4_model, r)
+
+
 def test_moment_memo_is_dropped_with_its_model():
     model = LimitModel(rotation_coin(1.2), InitialSpin(0.6, 0.8j))
     kspace_moment(model, 3, cells=64)
@@ -397,9 +439,9 @@ def test_nan_abscissas_give_nan(pi4_model, refine):
     xs = np.array([np.nan, -np.inf, 0.1, np.inf, np.nan])
     cdf = limit_cdf(pi4_model, xs, refine=refine)
     assert np.all(np.isnan(cdf[[0, 4]]))
-    # +-inf keep their values: no mass below, all of it (to rounding) above.
+    # +-inf keep their values: no mass below, all of it above.
     assert cdf[1] == 0.0 and 0.0 < cdf[2] < 1.0
-    assert cdf[3] == pytest.approx(1.0, abs=1e-12)
+    assert cdf[3] == 1.0
     assert math.isnan(limit_cdf(pi4_model, math.nan, refine=refine))
     assert limit_cdf(pi4_model, -math.inf, refine=refine) == 0.0
     assert limit_cdf(pi4_model, math.inf, refine=refine) == cdf[3]
