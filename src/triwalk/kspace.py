@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -101,32 +103,54 @@ def fourier_block(protocol: StepProtocol, k: float) -> np.ndarray:
     return block
 
 
-def _tables(c: float, s: float, k: np.ndarray):
-    """Shared trigonometric tables: returns (A, B, disc, num).
+class _tables:
+    """Trigonometric tables of the period block at an array of quasi-momenta.
 
-    ``A + iB`` tracks the branch eigenvalues, ``disc = 1 - A^2`` computed in
-    the cancellation-free form ``B^2 + (2 c s sin k)^2``, and ``num`` is the
-    group-velocity numerator.  Triple angles come from ``sin k`` and ``cos k``:
-    ``sin(3.0 * k)`` would carry the ~1e-15 rounding of ``3.0 * k`` near
-    ``k = +-pi``, where ``sin k`` itself is that small.
+    The one place the branch trigonometry is written.  ``a +- i root`` are
+    the branch eigenvalues, ``b`` and ``cross`` the real components of
+    their eigenvectors (see :func:`eigen_system`), ``disc = 1 - a^2``
+    computed in the cancellation-free form ``b^2 + cross^2``, ``num`` the
+    group-velocity numerator and ``h`` the velocities, shape
+    ``(2, *k.shape)``, branch-major.  Velocities need only ``sin k``, so
+    ``cos k`` and ``a`` are computed on first use.  Unpacks as
+    ``(a, b, disc, num)``.
+
+    Triple angles come from ``sin k`` and ``cos k``: ``sin(3.0 * k)`` would
+    carry the ~1e-15 rounding of ``3.0 * k`` near ``k = +-pi``, where
+    ``sin k`` itself is that small.
     """
-    c2, s2 = c * c, s * s
-    sin_k, cos_k = np.sin(k), np.cos(k)
-    sin_3k = sin_k * (3.0 - 4.0 * sin_k * sin_k)
-    cos_3k = cos_k * (4.0 * cos_k * cos_k - 3.0)
-    a = c2 * cos_3k + s2 * cos_k
-    b = c2 * sin_3k + s2 * sin_k
-    cross = 2.0 * c * s * sin_k
-    disc = b * b + cross * cross
-    num = 3.0 * c2 * sin_3k + s2 * sin_k
-    return a, b, disc, num
+
+    def __init__(self, c: float, s: float, k: np.ndarray) -> None:
+        self.c, self.s, self.k = c, s, k
+        c2, s2 = c * c, s * s
+        self.sin_k = sin_k = np.sin(k)
+        sin_3k = sin_k * (3.0 - 4.0 * sin_k * sin_k)
+        self.b = c2 * sin_3k + s2 * sin_k
+        self.cross = 2.0 * c * s * sin_k
+        self.disc = self.b * self.b + self.cross * self.cross
+        self.root = np.sqrt(self.disc)
+        self.num = 3.0 * c2 * sin_3k + s2 * sin_k
+        self.h = np.empty((2, *k.shape))
+        np.divide(self.num, 3.0 * self.root, out=self.h[1])
+        np.negative(self.h[1], out=self.h[0])
+
+    @cached_property
+    def cos_k(self) -> np.ndarray:
+        return np.cos(self.k)
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        cos_k = self.cos_k
+        cos_3k = cos_k * (4.0 * cos_k * cos_k - 3.0)
+        return self.c * self.c * cos_3k + self.s * self.s * cos_k
+
+    def __iter__(self):
+        return iter((self.a, self.b, self.disc, self.num))
 
 
 def _velocities(c: float, s: float, k: np.ndarray) -> np.ndarray:
     """Group velocities, shape ``(2, *k.shape)``, branch-major."""
-    _, _, disc, num = _tables(c, s, k)
-    base = num / (3.0 * np.sqrt(disc))
-    return np.array([-base, base])
+    return _tables(c, s, k).h
 
 
 def _branches(
@@ -134,19 +158,27 @@ def _branches(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Velocities and overlap weights ``|<branch vector | spin>|^2``.
 
-    Both have shape ``(2, *k.shape)`` and come from one :func:`_tables` pass.
+    Both have shape ``(2, *k.shape)`` and come from one :func:`_tables`
+    pass, in real arithmetic.  The branch of sign ``-1`` (index 0) or
+    ``+1`` (index 1) projects as ``(1 +- n.sigma) / 2``, where ``n =
+    (-cross cos 2k, cross sin 2k, -b) / root`` is a unit vector, so its
+    weight is ``(|alpha|^2 + |beta|^2) / 2 +- t``, with ``t`` half the
+    spin's Bloch vector along ``n``.  Nothing is divided by a difference
+    that cancels, and the two weights at each ``k`` sum to ``|alpha|^2 +
+    |beta|^2`` within rounding.  This is the one pass that a moment table
+    or a base CDF grid makes; the edge data of a refined read takes
+    velocities alone, from :func:`_velocities`.
     """
-    _, b, disc, num = _tables(c, s, k)
-    root = np.sqrt(disc)
-    base = num / (3.0 * root)
-    v0 = -2.0 * c * s * np.exp(2j * k) * np.sin(k)
-    weights = np.empty((2, *k.shape), dtype=np.float64)
-    for i, sign in enumerate(_SIGNS):
-        v1 = b + sign * root  # real component
-        norm = 2.0 * (disc + sign * b * root)
-        overlap = np.conj(v0) * alpha + v1 * beta
-        weights[i] = (overlap.real**2 + overlap.imag**2) / norm
-    return np.array([-base, base]), weights
+    t = _tables(c, s, k)
+    up, down = abs(alpha) ** 2, abs(beta) ** 2
+    g = alpha * beta.conjugate()
+    # Re(g e^{-2ik}) = Re g + 2 sin k (Im g cos k - Re g sin k)
+    phase = g.real + 2.0 * t.sin_k * (g.imag * t.cos_k - g.real * t.sin_k)
+    along = (t.b * (0.5 * (down - up)) - t.cross * phase) / t.root
+    weights = np.empty((2, *k.shape))
+    np.subtract(0.5 * (up + down), along, out=weights[0])
+    np.add(0.5 * (up + down), along, out=weights[1])
+    return t.h, weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,25 +210,23 @@ def eigen_system(coin: CoinOperator, k: float) -> EigenSystem:
     """
     c, s = _rotation_entries(coin)
     _check_quasimomentum(k)
-    ka = np.array([float(k)])
-    a, b, disc, _ = _tables(c, s, ka)
-    a0, b0, disc0 = float(a[0]), float(b[0]), float(disc[0])
-    root = math.sqrt(disc0)
+    t = _tables(c, s, np.array([float(k)]))
+    a0, b0, cross0, root = (float(x[0]) for x in (t.a, t.b, t.cross, t.root))
     eigenvalues = np.array([a0 + 1j * root, a0 - 1j * root])
-    v0 = -2.0 * c * s * np.exp(2j * k) * math.sin(k)
-    norms = np.array([2.0 * (disc0 + sign * b0 * root) for sign in _SIGNS])
-    eigenvectors = np.array(
-        [
-            np.array([v0, b0 + sign * root]) / math.sqrt(norm)
-            for sign, norm in zip(_SIGNS, norms)
-        ]
-    )
+    # The second components are b +- root.  The one whose sign is opposite
+    # to b's cancels, so it is written as cross^2 / (|b| + root) instead.
+    u = abs(b0) + root
+    q = cross0 * cross0 / u
+    second = np.array([sign * (u if sign * b0 >= 0.0 else q) for sign in _SIGNS])
+    norms = 2.0 * root * np.abs(second)
+    v0 = -cross0 * np.exp(2j * k)
+    eigenvectors = np.array([[v0, x] for x in second]) / np.sqrt(norms)[:, None]
     return EigenSystem(
         k=float(k),
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
         norms=norms,
-        velocities=_velocities(c, s, ka)[:, 0],
+        velocities=t.h[:, 0],
     )
 
 
@@ -249,9 +279,11 @@ def kspace_moment(model: LimitModel, r: int, *, cells: int | None = None) -> flo
       at the first pair whose tables agree to 1e-14 in all nine orders,
       returning the finer table's entry; the stop depends on the model
       only, and that last difference is the error bound.  Angles at least
-      0.1 from a multiple of pi/2 settled by 2,048 cells; 0.01 takes 16,384.
+      0.1 from a multiple of pi/2 settled by 2,048 cells, and 1.5706 by
+      128; 0.01 takes 16,384.
     - A model that has not settled by the pair ``(DEFAULT_CELLS,
-      2 * DEFAULT_CELLS)`` falls back to that pair as below.
+      2 * DEFAULT_CELLS)``, such as the angle 0.001, falls back to that
+      pair as below.
     - An explicit ``cells`` uses the pair ``(cells, 2 * cells)`` and returns
       the finer value, after checking that the requested order moved by at
       most 1e-8 between the two.
@@ -316,8 +348,9 @@ def pushforward_density(
     if bins < 100:
         raise ValueError("need at least 100 bins for a meaningful estimate")
     grid = _cached(_CdfGrid, model, cells)
-    lo = np.minimum(grid.h_left, grid.h_right)
-    hi = np.maximum(grid.h_left, grid.h_right)
+    edges = grid.edges
+    lo = np.minimum(edges.h_left, edges.h_right)
+    hi = np.maximum(edges.h_left, edges.h_right)
     mass = grid.cell_mass
     width = 2.0 / bins
     f_lo = (lo + 1.0) / width
@@ -346,36 +379,58 @@ def pushforward_density(
     )
 
 
+_Edges = namedtuple("_Edges", "k_left k_right h_left h_right cmin cmax span")
+
+
 class _CdfGrid:
-    """Per-model midpoint grid with edge samples for crossing refinement.
+    """Per-model midpoint grid of the limit law in momentum space.
 
     Per-cell arrays are flat and branch-major: index ``branch * cells + i``
-    names one (branch, cell) pair.
+    names one (branch, cell) pair.  Building the grid computes only what a
+    base read needs: midpoint velocities, cell masses, their sort and the
+    cumulative mass.  The edge data that crossing refinement and
+    :func:`pushforward_density` read is built on first use, as :attr:`edges`.
     """
 
     def __init__(self, model: LimitModel, cells: int) -> None:
         c, s, alpha, beta = _reduced(model)
         self.c, self.s, self.alpha, self.beta = c, s, alpha, beta
         self.cells = cells
-        # Edge samples are nudged inward where the branch functions are
-        # undefined (k = -pi, 0, pi always land on cell edges).
-        edges = -math.pi + (2.0 * math.pi / cells) * np.arange(cells + 1)
-        self.k_left, self.k_right = edges[:-1].copy(), edges[1:].copy()
-        self.k_left[[0, cells // 2]] += _EDGE_NUDGE
-        self.k_right[[-1, cells // 2 - 1]] -= _EDGE_NUDGE
         h_mid, weights = _branches(c, s, _midpoints(cells), alpha, beta)
-        self.h_mid, self.cell_mass = h_mid.ravel(), weights.ravel() / cells
-        self.h_left = _velocities(c, s, self.k_left).ravel()
-        self.h_right = _velocities(c, s, self.k_right).ravel()
+        weights /= cells
+        self.h_mid, self.cell_mass = h_mid.ravel(), weights.ravel()
         self.order = np.argsort(self.h_mid, kind="stable")
         self.sorted_h = self.h_mid[self.order]
         self.cum_mass = np.zeros(self.cell_mass.size + 1)
         np.cumsum(self.cell_mass[self.order], out=self.cum_mass[1:])
         # Divided by its total so that the mass above the support is exactly 1.
         self.cum_mass /= self.cum_mass[-1]
-        self.cmin = np.minimum(np.minimum(self.h_left, self.h_mid), self.h_right)
-        self.cmax = np.maximum(np.maximum(self.h_left, self.h_mid), self.h_right)
-        self.span = float(np.max(self.cmax - self.cmin))
+
+    @cached_property
+    def edges(self) -> _Edges:
+        """Edge data from one velocity pass over the ``cells + 1`` edges.
+
+        ``h_left``/``h_right`` are the velocities at each cell's edges
+        ``k_left``/``k_right``, ``[cmin, cmax]`` each cell's velocity range
+        over its edges and midpoint, and ``span`` the widest such range.
+        Samples are nudged inward where the branch functions are undefined:
+        ``k = -pi, 0, pi`` always land on cell edges, so 0 is sampled on
+        both its sides.  Without the side below 0 the samples are the
+        cells' left edges, without the side above it their right edges.
+        """
+        cells, half = self.cells, self.cells // 2
+        k = -math.pi + (2.0 * math.pi / cells) * np.arange(cells + 1)
+        k = np.insert(k, half, k[half])
+        k[[0, half + 1]] += _EDGE_NUDGE
+        k[[half, -1]] -= _EDGE_NUDGE
+        h = _velocities(self.c, self.s, k)
+        h_left = np.delete(h, half, axis=1)[:, :-1].ravel()
+        h_right = np.delete(h, half + 1, axis=1)[:, 1:].ravel()
+        cmin = np.minimum(np.minimum(h_left, self.h_mid), h_right)
+        cmax = np.maximum(np.maximum(h_left, self.h_mid), h_right)
+        k_left, k_right = np.delete(k, half)[:-1], np.delete(k, half + 1)[1:]
+        span = float(np.max(cmax - cmin))
+        return _Edges(k_left, k_right, h_left, h_right, cmin, cmax, span)
 
     def base(self, x: np.ndarray) -> np.ndarray:
         """Midpoint-classified CDF: mass of cells whose midpoint velocity < x."""
@@ -390,8 +445,9 @@ class _CdfGrid:
         its cell wholly on the bulk side instead of bisecting rounding noise.
         """
         out = self.base(x)
+        edges = self.edges
         # Only cells with a midpoint within one cell span of x can change.
-        reach = self.span + _H_ROUNDING
+        reach = edges.span + _H_ROUNDING
         for start in range(0, x.size, _QUERY_BLOCK):
             block = slice(start, start + _QUERY_BLOCK)
             lo = np.searchsorted(self.sorted_h, x[block] - reach)
@@ -399,8 +455,8 @@ class _CdfGrid:
             query, j = np.nonzero(np.arange(counts.max()) < counts[:, None])
             flat, xq = self.order[lo[query] + j], x[block][query]
             mass = self.cell_mass[flat]
-            below = self.cmax[flat] <= xq + _H_ROUNDING
-            split = ~below & (self.cmin[flat] < xq - _H_ROUNDING)
+            below = edges.cmax[flat] <= xq + _H_ROUNDING
+            split = ~below & (edges.cmin[flat] < xq - _H_ROUNDING)
             fix = np.where(below, mass, 0.0)
             fix -= np.where(self.h_mid[flat] < xq, mass, 0.0)
             fix[split] += self._mass_below(flat[split], xq[split])
@@ -414,10 +470,11 @@ class _CdfGrid:
         one converges to its right end.  The four segments this leaves are
         integrated with the midpoint rule.
         """
+        edges = self.edges
         branch, i = np.divmod(flat, self.cells)
-        kl, kr = self.k_left[i], self.k_right[i]
+        kl, kr = edges.k_left[i], edges.k_right[i]
         km = 0.5 * (kl + kr)
-        below = np.array([h[flat] < x for h in (self.h_left, self.h_mid, self.h_right)])
+        below = np.array([h[flat] < x for h in (edges.h_left, self.h_mid, edges.h_right)])
         lo, hi = np.array([kl, km]), np.array([km, kr])
         for _ in range(60):
             mid = 0.5 * (lo + hi)

@@ -9,6 +9,7 @@ from triwalk import (
     DegenerateQuasimomentum,
     InitialSpin,
     LimitModel,
+    compare_walk,
     eigen_system,
     fourier_block,
     general_coin,
@@ -246,8 +247,9 @@ def test_default_grid_moments_match_the_fixed_pair():
 
 
 def test_default_grid_falls_back_to_the_fixed_pair():
-    # Rounding noise of ~1e-11 keeps this table from settling to 1e-14.
-    model = LimitModel(rotation_coin(1.5706), InitialSpin(0.6, 0.8j))
+    # The grid a small angle needs grows about as 1/theta (0.01 settles at
+    # 16,384 cells), so at 0.001 the ladder has not settled by 2^16 cells.
+    model = LimitModel(rotation_coin(0.001), InitialSpin(0.6, 0.8j))
     for r in range(9):
         assert kspace_moment(model, r) == kspace_moment(
             model, r, cells=kspace.DEFAULT_CELLS
@@ -255,9 +257,68 @@ def test_default_grid_falls_back_to_the_fixed_pair():
 
 
 def test_default_grid_stops_early_on_a_smooth_integrand():
-    model = LimitModel(rotation_coin(math.pi / 4), symmetric_spin())
-    kspace_moment(model, 2)
-    assert max(cells for _, cells in kspace._CACHE[model]) <= 512
+    models = (
+        LimitModel(rotation_coin(math.pi / 4), symmetric_spin()),
+        # near-trivial, but smooth once its weights carry no rounding noise
+        LimitModel(rotation_coin(1.5706), InitialSpin(0.6, 0.8j)),
+    )
+    for model in models:
+        kspace_moment(model, 2)
+        assert max(cells for _, cells in kspace._CACHE[model]) <= 512
+
+
+def test_branch_weights_sum_to_spin_norm():
+    spin = InitialSpin(0.6, 0.8j)
+    thetas = (1.5706, 0.01, math.pi / 4)
+    models = [
+        *(LimitModel(rotation_coin(theta), spin) for theta in thetas),
+        LimitModel(general_coin(0.3, 0.1, 0.9, 1.0), spin),
+    ]
+    for model in models:
+        c, s, alpha, beta = kspace._reduced(model)
+        _, w = kspace._branches(c, s, open_grid(1 << 16), alpha, beta)
+        norm = abs(alpha) ** 2 + abs(beta) ** 2
+        assert np.max(np.abs(w[0] + w[1] - norm)) <= 1e-15
+
+
+def test_eigen_system_is_accurate_at_a_near_trivial_angle():
+    # The cross term 2 c s sin k is ~2e-4 here, so root - |b| cancels.
+    theta = 1.5706
+    coin = rotation_coin(theta)
+    protocol = three_period_protocol(theta)
+    for k in np.linspace(-3.0, 3.0, 41) + 0.01:
+        system = eigen_system(coin, k)
+        block = fourier_block(protocol, k)
+        for value, vector in zip(system.eigenvalues, system.eigenvectors):
+            assert np.linalg.norm(block @ vector - value * vector) <= 1e-14
+            assert abs(np.linalg.norm(vector) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("cells", [18, 1 << 16])
+def test_edge_data_is_one_pass_over_the_nudged_edges(cells):
+    model = LimitModel(general_coin(0.3, 0.1, 0.9, 1.0), InitialSpin(0.6, 0.8j))
+    edges = -math.pi + (2.0 * math.pi / cells) * np.arange(cells + 1)
+    k_left, k_right = edges[:-1].copy(), edges[1:].copy()
+    k_left[[0, cells // 2]] += kspace._EDGE_NUDGE
+    k_right[[-1, cells // 2 - 1]] -= kspace._EDGE_NUDGE
+    bundle = kspace._CdfGrid(model, cells).edges
+    assert np.array_equal(bundle.k_left, k_left)
+    assert np.array_equal(bundle.k_right, k_right)
+    c, s = model.a_abs, model.b_abs
+    assert np.array_equal(bundle.h_left, kspace._velocities(c, s, k_left).ravel())
+    assert np.array_equal(bundle.h_right, kspace._velocities(c, s, k_right).ravel())
+
+
+def test_base_reads_build_no_edge_data():
+    model = LimitModel(general_coin(0.3, 0.1, 0.9, 1.0), InitialSpin(0.6, 0.8j))
+    compare_walk(model, 297)
+    limit_cdf(model, np.linspace(-1.0, 1.0, 11), refine=False)
+    grid = kspace._CACHE[model][(kspace._CdfGrid, kspace.DEFAULT_CELLS)]
+    assert "edges" not in grid.__dict__
+    limit_cdf(model, 0.1)
+    edges = grid.__dict__["edges"]
+    pushforward_density(model, 400)
+    assert grid.__dict__["edges"] is edges
 
 
 @pytest.mark.parametrize("r", [2.0, 2.5, "2"])
