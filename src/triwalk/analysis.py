@@ -9,6 +9,7 @@ the forbidden gap, mirror asymmetry, and moment-error sweeps.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -111,14 +112,13 @@ def ks_statistic(
 
 
 def ks_distance(dist: PositionDistribution, scale: float, model: LimitModel) -> float:
-    """KS distance between the rescaled position ``X/scale`` and the limit law."""
+    """KS distance between the rescaled position ``X/scale`` and the limit law.
+
+    Exact to rounding: :func:`~triwalk.kspace.limit_cdf` is.
+    """
     ecdf = empirical_cdf(dist, scale)
     endpoints = support_intervals(model).endpoint_values()
-    return ks_statistic(
-        ecdf,
-        lambda xs: limit_cdf(model, xs, refine=False),
-        extra_points=endpoints,
-    )
+    return ks_statistic(ecdf, lambda xs: limit_cdf(model, xs), extra_points=endpoints)
 
 
 def gap_mass(
@@ -146,7 +146,8 @@ def mirror_asymmetry(dist: PositionDistribution) -> float:
     """KS distance between a lattice distribution and its mirror image."""
     pos = dist.positions
     prob = dist.probabilities
-    points = np.union1d(pos, -pos)
+    # The positions of :func:`distribution` are their own mirror image.
+    points = pos if np.array_equal(pos, -pos[::-1]) else np.union1d(pos, -pos)
     cum = np.concatenate(([0.0], np.cumsum(prob)))
     forward = cum[np.searchsorted(pos, points, side="right")]
     # P(-X <= y) = 1 - P(X < -y)
@@ -170,19 +171,30 @@ class MomentErrors:
 def moment_report(
     model: LimitModel, times: Sequence[int], r_max: int = 4
 ) -> list[MomentErrors]:
-    """Moment-error sweep over walk times (headline check uses multiples of 3)."""
+    """Moment-error sweep over walk times (headline check uses multiples of 3).
+
+    One walk reads every distinct time; the reports keep the input order.
+    """
     _check_r_max(r_max)
-    reference = {r: kspace_moment(model, r) for r in range(r_max + 1)}
-    protocol = canonical_protocol(model.coin)
-    out = []
-    for t in times:
-        dist = distribution(evolve(model.spin, protocol, t))
-        errors = tuple(
-            (r, abs(empirical_moment(dist, r, t) - reference[r]))
-            for r in range(r_max + 1)
+    times = [operator.index(t) for t in times]
+    if min(times, default=0) < 0:
+        raise ValueError("times must be nonnegative")
+    if not times:
+        return []
+    reference = [kspace_moment(model, r) for r in range(r_max + 1)]
+    distinct = sorted(set(times))
+    walk = _distributions(model.spin, canonical_protocol(model.coin), distinct)
+    dists = dict(zip(distinct, walk))
+    return [
+        MomentErrors(
+            time=t,
+            errors=tuple(
+                (r, abs(empirical_moment(dists[t], r, t) - m))
+                for r, m in enumerate(reference)
+            ),
         )
-        out.append(MomentErrors(time=t, errors=errors))
-    return out
+        for t in times
+    ]
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,11 @@ eigenvector overlap weights *is* the limit law.  This module exposes:
   for a rotation-form coin;
 - :func:`kspace_moment`: moments of the limit law by midpoint quadrature
   over quasi-momentum (smooth integrand, no density singularities);
-- :func:`pushforward_density`: a histogram oracle for the closed-form
-  density, built purely from velocities and weights;
-- :func:`limit_cdf`: the cumulative law, integrated in momentum space with
-  per-cell crossing refinement so it stays accurate where the real-space
-  density diverges.
+- :func:`limit_cdf`: the cumulative law, exact to rounding: closed-form
+  level crossings of the branch velocities bound the momenta below each
+  point, and one tabulated weight integral per model measures them;
+- :func:`pushforward_density`: exact bin averages of the closed-form
+  density, from differences of that CDF.
 
 General-unitary coins are handled through their first-quadrant reduction:
 the moduli of the coin entries give the rotation angle, and the phase
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from weakref import WeakKeyDictionary
@@ -55,12 +54,6 @@ _MIN_CELLS = 64
 _SETTLED = 1e-14
 
 _K_GUARD = 1e-9
-_EDGE_NUDGE = 1e-9
-# Rounding of a computed branch velocity, measured at most 1.0e-15 for
-# |c| <= 0.97: a cell range passing a level by no more is not split there.
-_H_ROUNDING = 1e-15
-# Refined-CDF queries per array pass; a query pairs with up to ~4e3 cells.
-_QUERY_BLOCK = 256
 
 # Branch signs: index 0 is the branch with positive imaginary eigenvalue part.
 _SIGNS = (-1.0, 1.0)
@@ -166,8 +159,7 @@ def _branches(
     spin's Bloch vector along ``n``.  Nothing is divided by a difference
     that cancels, and the two weights at each ``k`` sum to ``|alpha|^2 +
     |beta|^2`` within rounding.  This is the one pass that a moment table
-    or a base CDF grid makes; the edge data of a refined read takes
-    velocities alone, from :func:`_velocities`.
+    or the CDF table makes.
     """
     t = _tables(c, s, k)
     up, down = abs(alpha) ** 2, abs(beta) ** 2
@@ -306,6 +298,8 @@ def kspace_moment(model: LimitModel, r: int, *, cells: int | None = None) -> flo
                 return float(fine[r])
             coarse = fine
         # Not settled: cells is now DEFAULT_CELLS, the fixed pair below.
+    else:
+        cells = _check_cells(cells)
     coarse = _cached(_moment_table, model, cells)[r]
     fine = _cached(_moment_table, model, 2 * cells)[r]
     if abs(fine - coarse) > 1e-8:
@@ -317,7 +311,7 @@ def kspace_moment(model: LimitModel, r: int, *, cells: int | None = None) -> flo
 
 @dataclass(frozen=True, eq=False)
 class BinnedDensity:
-    """Histogram density estimate on uniform bins over ``(-1, 1)``."""
+    """Bin-averaged density on uniform bins over ``(-1, 1)``."""
 
     bin_edges: np.ndarray
     density: np.ndarray
@@ -337,199 +331,188 @@ class BinnedDensity:
 def pushforward_density(
     model: LimitModel, bins: int, *, cells: int = DEFAULT_CELLS
 ) -> BinnedDensity:
-    """Histogram of branch velocities weighted by spin overlaps.
+    """Exact bin averages of the limit density, from the momentum-space CDF.
 
-    This is an independent numerical oracle for the closed-form density:
-    it never touches the real-space formulas, only group velocities and
-    eigenvector overlap weights on a fine open momentum grid.  Each grid
-    cell's mass is spread over the velocity interval its edges span, so
-    bin boundaries do not quantise the estimate.
+    An independent oracle for the closed-form density: it never touches the
+    real-space formulas, only group velocities and overlap weights.  Each
+    bin's density is :func:`limit_cdf`'s difference across it over its
+    width.  ``cells`` (an even integer, at least 16) changes nothing.
     """
+    _check_cells(cells)
     if bins < 100:
         raise ValueError("need at least 100 bins for a meaningful estimate")
-    grid = _cached(_CdfGrid, model, cells)
-    edges = grid.edges
-    lo = np.minimum(edges.h_left, edges.h_right)
-    hi = np.maximum(edges.h_left, edges.h_right)
-    mass = grid.cell_mass
-    width = 2.0 / bins
-    f_lo = (lo + 1.0) / width
-    f_hi = (hi + 1.0) / width
-    span = f_hi - f_lo
-    out = np.zeros(bins, dtype=np.float64)
-    point = span <= 0.0
-    if np.any(point):
-        idx = np.clip(f_lo[point].astype(np.int64), 0, bins - 1)
-        np.add.at(out, idx, mass[point])
-    keep = ~point
-    f_lo, f_hi, mass, span = f_lo[keep], f_hi[keep], mass[keep], span[keep]
-    start = np.floor(f_lo).astype(np.int64)
-    reach = int(np.max(np.ceil(f_hi).astype(np.int64) - start))
-    for offset in range(reach + 1):
-        b = start + offset
-        overlap = np.minimum(f_hi, b + 1.0) - np.maximum(f_lo, b)
-        sel = overlap > 0.0
-        np.add.at(
-            out,
-            np.clip(b[sel], 0, bins - 1),
-            mass[sel] * overlap[sel] / span[sel],
-        )
-    return BinnedDensity(
-        bin_edges=np.linspace(-1.0, 1.0, bins + 1), density=out / width
-    )
+    edges = np.linspace(-1.0, 1.0, bins + 1)
+    cdf = _cached(_LimitCdf, model)(edges)
+    return BinnedDensity(bin_edges=edges, density=np.diff(cdf) / (2.0 / bins))
 
 
-_Edges = namedtuple("_Edges", "k_left k_right h_left h_right cmin cmax span")
+def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on ``[-1, 1]`` (Golub-Welsch), and the
+    map from values at the nodes to the monomial coefficients in ``t``,
+    highest first, of the integral from -1 to ``t`` of their interpolant."""
+    j = np.arange(1.0, n)
+    off = j / np.sqrt(4.0 * j * j - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    powers = np.arange(1, n + 1)
+    rows = np.linalg.inv(np.vander(nodes, n, increasing=True)) / powers[:, None]
+    integral = np.vstack((rows[::-1], -((-1.0) ** powers) @ rows))
+    return nodes, 2.0 * vectors[0] ** 2, integral
 
 
-class _CdfGrid:
-    """Per-model midpoint grid of the limit law in momentum space.
+_GL_NODES, _GL_WEIGHTS, _GL_INTEGRAL = _panel_rule(8)
+# Table panels per unit of the graded coordinate asinh((k - k0) / width): 8
+# already agree with 4x as many to 5e-14, 16 to rounding.
+_PANELS_PER_UNIT = 16
 
-    Per-cell arrays are flat and branch-major: index ``branch * cells + i``
-    names one (branch, cell) pair.  Building the grid computes only what a
-    base read needs: midpoint velocities, cell masses, their sort and the
-    cumulative mass.  The edge data that crossing refinement and
-    :func:`pushforward_density` read is built on first use, as :attr:`edges`.
+
+class _LimitCdf:
+    """Exact limit CDF of one model, from closed-form level crossings.
+
+    By :class:`_tables`, on ``0 < k < pi`` branch 1 moves at ``g(y)`` and
+    branch 0 at ``-g(y)``, with ``y = sin^2 k``; on ``-pi < k < 0`` the
+    signs swap.  ``g`` falls strictly in ``y``, from ``hull`` to ``low``, so
+    the momenta moving at most ``x`` are ``y >= y*(x)`` on the ``+g`` pieces
+    and ``y <= y*(-x)`` on the ``-g`` ones, ``y*`` a root of a quadratic.
+    The ``+g`` pieces fold onto ``[0, pi/2]`` as ``u(k) = w_1(k) + w_0(-k)
+    + w_1(pi - k) + w_0(k - pi)``, the ``-g`` ones as ``4N - u`` with ``N =
+    |alpha|^2 + |beta|^2``.  With ``Phi(kappa) = (1/2pi) int_0^kappa u`` and
+    ``kappa(x) = arcsin sqrt(y*(x))``:
+
+        F(x) = Phi(pi/2) - Phi(kappa(x)) + 2N kappa(-x) / pi - Phi(kappa(-x)).
+
+    ``u`` is analytic but for a turn of width about ``c s`` at ``k0 = arcsin
+    sqrt((1 + 2c^2) / (4c^2))`` when ``2c^2 > 1``.  ``Phi`` is tabulated on
+    panels of equal width in ``asinh((k - k0) / width)``, ``width = c s``
+    (``k0 = pi/2``, ``width = 1`` without a turn), as the exact integral of
+    the interpolant of its rate at 8 Gauss-Legendre nodes per panel.
+    ``split`` divides every panel; doubling it moves ``F`` by ~1e-15.
     """
 
-    def __init__(self, model: LimitModel, cells: int) -> None:
+    def __init__(self, model: LimitModel, split: int = 1) -> None:
         c, s, alpha, beta = _reduced(model)
-        self.c, self.s, self.alpha, self.beta = c, s, alpha, beta
-        self.cells = cells
-        h_mid, weights = _branches(c, s, _midpoints(cells), alpha, beta)
-        weights /= cells
-        self.h_mid, self.cell_mass = h_mid.ravel(), weights.ravel()
-        self.order = np.argsort(self.h_mid, kind="stable")
-        self.sorted_h = self.h_mid[self.order]
-        self.cum_mass = np.zeros(self.cell_mass.size + 1)
-        np.cumsum(self.cell_mass[self.order], out=self.cum_mass[1:])
-        # Divided by its total so that the mass above the support is exactly 1.
-        self.cum_mass /= self.cum_mass[-1]
+        c2 = c * c
+        self.c2, self.s = c2, s
+        self.hull = math.sqrt(1.0 + 8.0 * c2) / 3.0
+        self.low = (1.0 - 4.0 * c2) / 3.0
+        self.norm = abs(alpha) ** 2 + abs(beta) ** 2
+        if 2.0 * c2 > 1.0:
+            self.k0 = math.asin(math.sqrt((1.0 + 2.0 * c2) / (4.0 * c2)))
+            self.width = c * s
+        else:
+            self.k0, self.width = 0.5 * math.pi, 1.0
+        self.xi0 = math.asinh(-self.k0 / self.width)
+        span = math.asinh((0.5 * math.pi - self.k0) / self.width) - self.xi0
+        self.panels = split * math.ceil(_PANELS_PER_UNIT * span)
+        self.step = span / self.panels
+        xi = self.xi0 + self.step * (
+            np.arange(self.panels)[:, None] + 0.5 * (_GL_NODES + 1.0)
+        )
+        k = self.k0 + self.width * np.sinh(xi)
+        folds = np.stack((k, -k, math.pi - k, k - math.pi))
+        _, w = _branches(c, s, folds, alpha, beta)
+        # dPhi/dt on each panel, t in [-1, 1] its local coordinate
+        rate = (w[1, 0] + w[0, 1] + w[1, 2] + w[0, 3]) * (
+            self.width * np.cosh(xi) * self.step / (4.0 * math.pi)
+        )
+        self.coef = rate @ _GL_INTEGRAL.T
+        start = np.cumsum(rate @ _GL_WEIGHTS)
+        self.coef[1:, -1] += start[:-1]
+        self.total = float(start[-1])
 
-    @cached_property
-    def edges(self) -> _Edges:
-        """Edge data from one velocity pass over the ``cells + 1`` edges.
-
-        ``h_left``/``h_right`` are the velocities at each cell's edges
-        ``k_left``/``k_right``, ``[cmin, cmax]`` each cell's velocity range
-        over its edges and midpoint, and ``span`` the widest such range.
-        Samples are nudged inward where the branch functions are undefined:
-        ``k = -pi, 0, pi`` always land on cell edges, so 0 is sampled on
-        both its sides.  Without the side below 0 the samples are the
-        cells' left edges, without the side above it their right edges.
-        """
-        cells, half = self.cells, self.cells // 2
-        k = -math.pi + (2.0 * math.pi / cells) * np.arange(cells + 1)
-        k = np.insert(k, half, k[half])
-        k[[0, half + 1]] += _EDGE_NUDGE
-        k[[half, -1]] -= _EDGE_NUDGE
-        h = _velocities(self.c, self.s, k)
-        h_left = np.delete(h, half, axis=1)[:, :-1].ravel()
-        h_right = np.delete(h, half + 1, axis=1)[:, 1:].ravel()
-        cmin = np.minimum(np.minimum(h_left, self.h_mid), h_right)
-        cmax = np.maximum(np.maximum(h_left, self.h_mid), h_right)
-        k_left, k_right = np.delete(k, half)[:-1], np.delete(k, half + 1)[1:]
-        span = float(np.max(cmax - cmin))
-        return _Edges(k_left, k_right, h_left, h_right, cmin, cmax, span)
-
-    def base(self, x: np.ndarray) -> np.ndarray:
-        """Midpoint-classified CDF: mass of cells whose midpoint velocity < x."""
-        idx = np.searchsorted(self.sorted_h, x, side="left")
-        return self.cum_mass[idx]
-
-    def refined(self, x: np.ndarray) -> np.ndarray:
-        """Base CDF corrected on every cell whose velocity range reaches x.
-
-        Each block of queries is one array pass over its (query, cell)
-        pairs.  A range that passes ``x`` by at most ``_H_ROUNDING`` puts
-        its cell wholly on the bulk side instead of bisecting rounding noise.
-        """
-        out = self.base(x)
-        edges = self.edges
-        # Only cells with a midpoint within one cell span of x can change.
-        reach = edges.span + _H_ROUNDING
-        for start in range(0, x.size, _QUERY_BLOCK):
-            block = slice(start, start + _QUERY_BLOCK)
-            lo = np.searchsorted(self.sorted_h, x[block] - reach)
-            counts = np.searchsorted(self.sorted_h, x[block] + reach) - lo
-            query, j = np.nonzero(np.arange(counts.max()) < counts[:, None])
-            flat, xq = self.order[lo[query] + j], x[block][query]
-            mass = self.cell_mass[flat]
-            below = edges.cmax[flat] <= xq + _H_ROUNDING
-            split = ~below & (edges.cmin[flat] < xq - _H_ROUNDING)
-            fix = np.where(below, mass, 0.0)
-            fix -= np.where(self.h_mid[flat] < xq, mass, 0.0)
-            fix[split] += self._mass_below(flat[split], xq[split])
-            out[block] += np.bincount(query, fix, minlength=counts.size)
+    def phi(self, kappa: np.ndarray) -> np.ndarray:
+        """``Phi`` at angles in ``[0, pi/2]``."""
+        xi = (np.arcsinh((kappa - self.k0) / self.width) - self.xi0) / self.step
+        i = np.minimum(xi.astype(np.intp), self.panels - 1)
+        t = 2.0 * (xi - i) - 1.0
+        coef = np.take(self.coef, i, axis=0)
+        out = coef[:, 0].copy()
+        for j in range(1, coef.shape[1]):
+            out *= t
+            out += coef[:, j]
         return out
 
-    def _mass_below(self, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Weighted momentum measure of ``{k in cell : h(k) < x}``.
+    def crossings(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``kappa(a)`` and ``kappa(-a)`` for ``0 <= a < hull``.
 
-        Bisection finds the level crossing in each half cell; a half without
-        one converges to its right end.  The four segments this leaves are
-        integrated with the midpoint rule.
+        ``y*`` and ``1 - y*`` are each formed without cancellation, their
+        zeros carried by ``hull - a`` and ``low - a``, so support endpoints
+        map to ``kappa = 0`` or ``pi/2`` exactly; ``kappa = atan2(sqrt(y*),
+        sqrt(1 - y*))`` stays accurate near ``pi/2``, where arcsin would not.
         """
-        edges = self.edges
-        branch, i = np.divmod(flat, self.cells)
-        kl, kr = edges.k_left[i], edges.k_right[i]
-        km = 0.5 * (kl + kr)
-        below = np.array([h[flat] < x for h in (edges.h_left, self.h_mid, edges.h_right)])
-        lo, hi = np.array([kl, km]), np.array([km, kr])
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            h = _velocities(self.c, self.s, mid)
-            up = (np.where(branch, h[1], h[0]) < x) == below[:2]
-            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-        k1, k2 = 0.5 * (lo + hi)
-        ends = np.array([kl, k1, km, k2, kr])
-        mids = 0.5 * (ends[:-1] + ends[1:])
-        _, w = _branches(self.c, self.s, mids, self.alpha, self.beta)
-        seg = np.where(branch, w[1], w[0]) * np.diff(ends, axis=0) / (2.0 * math.pi)
-        return np.sum(seg, axis=0, where=below[[0, 1, 1, 2]])
+        c2, s, low = self.c2, self.s, self.low
+        sq = a * a
+        one = 1.0 - sq
+        # a R, with R = 2s sqrt(s^2 + 9c^2 (1 - a^2)) from the quadratic
+        ar = a * (2.0 * s * np.sqrt(s * s + 9.0 * c2 * one))
+        # 12c^2 (1 - a^2) y*(-a) = B + a R, and y*(a) has the factor hull^2 - a^2
+        m = 1.0 + 8.0 * c2
+        b = m - 3.0 * (1.0 + 2.0 * c2) * sq + ar
+        y_up = 3.0 * m * (self.hull - a) * (self.hull + a) / (4.0 * c2 * b)
+        y_down = b / (12.0 * c2 * one)
+        # 12c^2 (1 - a^2) (1 - y*(+-a)) = A +- a R, whose product is
+        # 9 (1 - a^2) (low^2 - a^2): the factor without a zero on [0, hull)
+        # is formed directly, the other from the product.
+        sign = 1.0 if low <= 0.0 else -1.0
+        direct = 3.0 * (1.0 - 2.0 * c2) * sq - 3.0 * low + sign * ar
+        other = 3.0 * (low - a) * (low + a) / (4.0 * c2 * direct)
+        direct /= 12.0 * c2 * one
+        q_up, q_down = (direct, other) if sign > 0.0 else (other, direct)
+        y = np.concatenate((y_up, y_down))
+        q = np.concatenate((q_up, q_down))
+        kappa = np.arctan2(np.sqrt(y), np.sqrt(np.fmax(q, 0.0)))
+        return kappa[: a.size], kappa[a.size :]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """CDF at a flat float array; exactly 0 and 1 beyond the hull, NaN at NaN."""
+        out = np.where(x < 0.0, 0.0, 1.0)
+        inside = np.flatnonzero(np.abs(x) < self.hull)
+        if inside.size:
+            xs = x[inside]
+            up, down = self.crossings(np.abs(xs))
+            phi = self.phi(np.concatenate((up, down)))
+            cdf = (
+                self.total
+                - phi[: xs.size]
+                - phi[xs.size :]
+                + (2.0 * self.norm / math.pi) * np.where(xs < 0.0, up, down)
+            )
+            out[inside] = np.clip(cdf, 0.0, 1.0)
+        out[np.isnan(x)] = np.nan
+        return out
 
 
-# Per-model derived data keyed by (builder, checked cells); entries go with the model.
+# Per-model derived data keyed by (builder, *arguments); entries go with the model.
 _CACHE: "WeakKeyDictionary[LimitModel, dict]" = WeakKeyDictionary()
 
 
-def _cached(build, model: LimitModel, cells: int):
-    cells = operator.index(cells)
-    if cells < 16 or cells % 2:
-        raise ValueError("cells must be an even number, at least 16")
+def _cached(build, model: LimitModel, *args):
     per_model = _CACHE.setdefault(model, {})
-    key = (build, cells)
+    key = (build, *args)
     if key not in per_model:
-        per_model[key] = build(model, cells)
+        per_model[key] = build(model, *args)
     return per_model[key]
 
 
-def limit_cdf(
-    model: LimitModel,
-    x,
-    *,
-    cells: int = DEFAULT_CELLS,
-    refine: bool = True,
-) -> float | np.ndarray:
+def _check_cells(cells: int) -> int:
+    cells = operator.index(cells)
+    if cells < 16 or cells % 2:
+        raise ValueError("cells must be an even number, at least 16")
+    return cells
+
+
+def limit_cdf(model: LimitModel, x, *, refine: bool = True) -> float | np.ndarray:
     """Cumulative limit law ``P(limit <= x)``, evaluated in momentum space.
 
     The mass below ``x`` is the overlap-weighted measure of quasi-momenta
-    whose branch velocity does not exceed ``x``.  The momentum-space
-    integrand is bounded and smooth, so this stays accurate where the
-    real-space density diverges.  NaN points give NaN.  Accuracy at the
-    default grid, measured against a quadrature of the closed-form density:
-
-    - ``refine=True`` resolves the velocity level crossing inside each
-      straddling grid cell: within 1.2e-9, and within 1e-10 at the four
-      support endpoints;
-    - ``refine=False`` classifies cells by their midpoint only: about 1e-5
-      (4.3e-5 at worst), and much cheaper for large batches.  This is the
-      CDF that :func:`triwalk.analysis.ks_distance` evaluates, so a KS
-      distance is good to about 1e-5 whatever digits it is written with.
+    whose branch velocity does not exceed ``x``.  The velocity is monotone
+    in ``sin^2 k`` on each half of the momentum circle, so that set ends at
+    closed-form level crossings, and the weight integral up to them is read
+    from one table per model (:class:`_LimitCdf`).  The result is exact to
+    rounding: within 1e-10 of a quadrature of the closed-form density, at
+    the support endpoints too, and it stays accurate where the real-space
+    density diverges.  Beyond the support hull it is exactly 0 or 1; NaN
+    points give NaN.  ``refine`` is accepted and ignored: there is one CDF.
     """
-    grid = _cached(_CdfGrid, model, cells)
     arr = np.asarray(x, dtype=np.float64)
-    flat = arr.ravel()
-    out = np.clip(grid.refined(flat) if refine else grid.base(flat), 0.0, 1.0)
-    out[np.isnan(flat)] = np.nan
+    out = _cached(_LimitCdf, model)(arr.ravel())
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

@@ -20,6 +20,7 @@ from triwalk import (
     gap_mass,
     general_coin,
     ks_distance,
+    kspace_moment,
     ks_statistic,
     limit_cdf,
     mirror_asymmetry,
@@ -27,6 +28,7 @@ from triwalk import (
     offphase_compare,
     rotation_coin,
     step,
+    support_intervals,
     symmetric_spin,
     three_period_protocol,
 )
@@ -80,13 +82,11 @@ def test_ks_self_discretisation_of_limit_law(pi4_model):
     # Discretise the limit law itself onto a fine lattice; the KS distance
     # collapses to the largest single increment.
     ys = np.linspace(-1.0, 1.0, 1_000_001)
-    cdf_vals = limit_cdf(pi4_model, ys, refine=False)
+    cdf_vals = limit_cdf(pi4_model, ys)
     probs = np.diff(cdf_vals)
     probs = probs / probs.sum()
     ecdf = EmpiricalCdf(values=ys[1:], cumulative=np.cumsum(probs), scale=1.0)
-    distance = ks_statistic(
-        ecdf, lambda xs: limit_cdf(pi4_model, xs, refine=False)
-    )
+    distance = ks_statistic(ecdf, lambda xs: limit_cdf(pi4_model, xs))
     assert distance < 1e-3
 
 
@@ -115,6 +115,58 @@ def test_mirror_asymmetry_symmetric_and_point_mass():
 def test_mirror_asymmetry_detects_skew():
     skew = lattice_dist({-1: 0.75, 1: 0.25})
     assert mirror_asymmetry(skew) == pytest.approx(0.5, abs=1e-12)
+
+
+def _mirror_asymmetry_over_the_union(dist):
+    pos, prob = dist.positions, dist.probabilities
+    points = np.union1d(pos, -pos)
+    cum = np.concatenate(([0.0], np.cumsum(prob)))
+    forward = cum[np.searchsorted(pos, points, side="right")]
+    mirrored = 1.0 - cum[np.searchsorted(pos, -points, side="left")]
+    return float(np.max(np.abs(forward - mirrored)))
+
+
+def test_mirror_asymmetry_is_the_same_with_or_without_mirrored_positions(gap_model):
+    # A walk's positions mirror themselves, and so do those of the skewed
+    # distribution; padding one side with a zero-probability site does not.
+    dist = distribution(evolve(gap_model.spin, canonical_protocol(gap_model.coin), 41))
+    padded = PositionDistribution(
+        positions=np.concatenate((dist.positions, [43])),
+        probabilities=np.concatenate((dist.probabilities, [0.0])),
+        t=43,
+    )
+    skew = lattice_dist({-3: 0.25, -2: 0.25, -1: 0.25, 1: 0.0, 2: 0.0, 3: 0.25})
+    for case in (dist, padded, skew, lattice_dist({-1: 0.5, 2: 0.25, 3: 0.25})):
+        assert mirror_asymmetry(case) == _mirror_asymmetry_over_the_union(case)
+    assert mirror_asymmetry(padded) == mirror_asymmetry(dist)
+
+
+def test_ks_distance_is_exact(pi4_model, gap_model):
+    from _oracles import cdf_by_quadrature
+
+    for model in (pi4_model, gap_model):
+        dist = distribution(evolve(model.spin, canonical_protocol(model.coin), 99))
+        ecdf = empirical_cdf(dist, 99)
+        exact = ks_statistic(
+            ecdf,
+            lambda xs: cdf_by_quadrature(model, xs),
+            extra_points=support_intervals(model).endpoint_values(),
+        )
+        assert abs(ks_distance(dist, 99, model) - exact) <= 1e-9
+
+
+def test_moment_report_reads_every_time_from_one_walk(gap_model):
+    times = [300, 9, 30, 9, 45]
+    report = moment_report(gap_model, times, r_max=3)
+    assert [entry.time for entry in report] == times
+    protocol = canonical_protocol(gap_model.coin)
+    for entry in report:
+        dist = distribution(evolve(gap_model.spin, protocol, entry.time))
+        for r, error in entry.errors:
+            reference = abs(
+                empirical_moment(dist, r, entry.time) - kspace_moment(gap_model, r)
+            )
+            assert abs(error - reference) <= 1e-12
 
 
 def test_moment_report_zero_order_error_vanishes(pi4_model):

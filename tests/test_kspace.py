@@ -9,7 +9,6 @@ from triwalk import (
     DegenerateQuasimomentum,
     InitialSpin,
     LimitModel,
-    compare_walk,
     eigen_system,
     fourier_block,
     general_coin,
@@ -26,7 +25,7 @@ from triwalk import (
 
 from triwalk import kspace
 
-from _oracles import random_safe_angle
+from _oracles import cdf_by_quadrature, random_safe_angle
 
 
 def open_grid(n):
@@ -294,33 +293,6 @@ def test_eigen_system_is_accurate_at_a_near_trivial_angle():
             assert abs(np.linalg.norm(vector) - 1.0) <= 1e-14
 
 
-@pytest.mark.parametrize("cells", [18, 1 << 16])
-def test_edge_data_is_one_pass_over_the_nudged_edges(cells):
-    model = LimitModel(general_coin(0.3, 0.1, 0.9, 1.0), InitialSpin(0.6, 0.8j))
-    edges = -math.pi + (2.0 * math.pi / cells) * np.arange(cells + 1)
-    k_left, k_right = edges[:-1].copy(), edges[1:].copy()
-    k_left[[0, cells // 2]] += kspace._EDGE_NUDGE
-    k_right[[-1, cells // 2 - 1]] -= kspace._EDGE_NUDGE
-    bundle = kspace._CdfGrid(model, cells).edges
-    assert np.array_equal(bundle.k_left, k_left)
-    assert np.array_equal(bundle.k_right, k_right)
-    c, s = model.a_abs, model.b_abs
-    assert np.array_equal(bundle.h_left, kspace._velocities(c, s, k_left).ravel())
-    assert np.array_equal(bundle.h_right, kspace._velocities(c, s, k_right).ravel())
-
-
-def test_base_reads_build_no_edge_data():
-    model = LimitModel(general_coin(0.3, 0.1, 0.9, 1.0), InitialSpin(0.6, 0.8j))
-    compare_walk(model, 297)
-    limit_cdf(model, np.linspace(-1.0, 1.0, 11), refine=False)
-    grid = kspace._CACHE[model][(kspace._CdfGrid, kspace.DEFAULT_CELLS)]
-    assert "edges" not in grid.__dict__
-    limit_cdf(model, 0.1)
-    edges = grid.__dict__["edges"]
-    pushforward_density(model, 400)
-    assert grid.__dict__["edges"] is edges
-
-
 @pytest.mark.parametrize("r", [2.0, 2.5, "2"])
 def test_moment_order_must_be_an_integer(pi4_model, r):
     with pytest.raises(TypeError):
@@ -416,63 +388,46 @@ def test_cdf_agrees_with_density_quadrature(pi4_model, leftward_model):
             assert via_cdf == pytest.approx(direct, abs=1e-6)
 
 
-def test_cdf_refined_and_base_agree_coarsely(pi4_model):
+def test_cdf_refined_and_base_agree_coarsely(pi4_model, gap_model):
+    # There is one CDF: ``refine`` is accepted and ignored.
     xs = np.linspace(-0.9, 0.9, 37)
-    refined = limit_cdf(pi4_model, xs)
-    base = limit_cdf(pi4_model, xs, refine=False)
-    assert np.max(np.abs(refined - base)) <= 1e-4
-
-
-def _cdf_at_endpoints_by_quadrature(model):
-    """Closed-form density integrated up to each sorted support endpoint.
-
-    Each piece between neighbouring endpoints is mapped by
-    ``x = mid - half * cos(phi)``, which cancels the inverse-square-root
-    singularities at its ends.  The last ``phi0`` at either end, where the
-    density refuses evaluation, is added as a rectangle: the mapped
-    integrand is flat there.
-    """
-    from scipy.integrate import quad
-
-    ends = support_intervals(model).endpoint_values()
-    masses = [0.0]
-    for a, b in zip(ends[:-1], ends[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-
-        def mapped(phi):
-            x = mid - half * math.cos(phi)
-            return limit_density(model, x) * half * math.sin(phi)
-
-        phi0 = math.sqrt(8e-12 / half)
-        body, _ = quad(
-            mapped, phi0, math.pi - phi0, epsabs=1e-13, epsrel=1e-13, limit=400
-        )
-        masses.append(body + (mapped(phi0) + mapped(math.pi - phi0)) * phi0)
-    return ends, np.cumsum(masses)
+    for model in (pi4_model, gap_model):
+        refined = limit_cdf(model, xs)
+        assert np.array_equal(limit_cdf(model, xs, refine=False), refined)
 
 
 def test_refined_cdf_at_support_endpoints():
+    # The CDF against a quadrature of the closed-form density, at the four
+    # support endpoints (where the density diverges), between them and inside.
     spins = (symmetric_spin(), InitialSpin(1.0, 0.0), InitialSpin(0.6, 0.8j))
     models = [
         LimitModel(rotation_coin(theta), spin)
         for theta in (0.35, 0.7, 1.25, 2.0)
         for spin in spins
     ]
+    models += [
+        LimitModel(rotation_coin(theta), InitialSpin(0.6, 0.8j))
+        for theta in (math.pi / 4, 2 * math.pi / 5, 0.15, 0.05)
+    ]
     models.append(LimitModel(general_coin(0.8, 1.7, 0.5, 1.9), InitialSpin(0.6, 0.8j)))
     for model in models:
-        ends, exact = _cdf_at_endpoints_by_quadrature(model)
-        assert exact[-1] == pytest.approx(1.0, abs=1e-9)
-        assert np.max(np.abs(limit_cdf(model, ends) - exact)) <= 1e-8
+        ends = support_intervals(model).endpoint_values()
+        xs = np.concatenate((ends, 0.5 * (ends[:-1] + ends[1:]), [-0.9, 0.0, 0.6]))
+        exact = cdf_by_quadrature(model, xs)
+        assert np.max(np.abs(limit_cdf(model, xs) - exact)) <= 1e-10
 
 
-def test_cdf_refinement_accuracy_against_finer_grid(pi4_model, gap_model):
-    # the documented ~1e-8 accuracy at the default grid, checked against an
-    # 8x finer one
-    xs = np.linspace(-0.73, 0.73, 21)
-    for model in (pi4_model, gap_model):
-        default = limit_cdf(model, xs)
-        finer = limit_cdf(model, xs, cells=1 << 19)
-        assert np.max(np.abs(default - finer)) <= 1e-8
+def test_cdf_refinement_accuracy_against_finer_grid():
+    # Splitting every table panel in two moves nothing beyond rounding, from
+    # a wide turn down to a turn of width ~1e-4 and at a near-trivial angle.
+    spin = InitialSpin(0.6, 0.8j)
+    xs = np.linspace(-1.0, 1.0, 2001)
+    for theta in (math.pi / 4, 0.05, 0.01, 0.001, 1e-4, 1.5706):
+        model = LimitModel(rotation_coin(theta), spin)
+        at = np.concatenate((xs, support_intervals(model).endpoint_values()))
+        default = kspace._LimitCdf(model)(at)
+        finer = kspace._LimitCdf(model, 2)(at)
+        assert np.max(np.abs(default - finer)) <= 1e-12
 
 
 def test_cdf_for_general_coin_matches_its_density():
@@ -517,12 +472,58 @@ def test_nan_abscissas_give_nan(pi4_model, refine):
 def test_cells_must_be_an_integer(cells):
     model = LimitModel(rotation_coin(1.2), InitialSpin(0.6, 0.8j))
     # A grid memoized at 16 cells must not let an equal float through.
-    limit_cdf(model, 0.1, cells=16)
     kspace_moment(model, 0, cells=16)
     for call in (
         lambda: kspace_moment(model, 0, cells=cells),
-        lambda: limit_cdf(model, 0.1, cells=cells),
         lambda: pushforward_density(model, 100, cells=cells),
     ):
         with pytest.raises(TypeError):
             call()
+
+
+def _models_from_wide_to_narrow_turns():
+    spin = InitialSpin(0.6, 0.8j)
+    thetas = (math.pi / 4, 2 * math.pi / 5, 0.35, 0.05, 0.001, 1e-4, 1.5706)
+    models = [LimitModel(rotation_coin(theta), spin) for theta in thetas]
+    models.append(LimitModel(general_coin(0.3, 0.1, 0.9, 1.0), spin))
+    return models
+
+
+def test_velocity_falls_monotonically_in_sin_squared():
+    # On 0 < k < pi branch 1 moves at g(sin^2 k), from the hull at y = 0
+    # down to the inner support end at y = 1: the fact the CDF rests on.
+    y = np.linspace(0.0, 1.0, 20001)[1:-1]
+    k = np.arcsin(np.sqrt(y))
+    for model in _models_from_wide_to_narrow_turns():
+        c, s = model.a_abs, model.b_abs
+        g = kspace._velocities(c, s, k)[1]
+        assert np.all(np.diff(g) < 0.0)
+        table = kspace._LimitCdf(model)
+        low, hull = support_intervals(model).positive
+        assert (table.low, table.hull) == (low, hull)
+        assert low < g[-1] and g[0] < hull
+
+
+@pytest.mark.parametrize("theta", [math.pi / 4, 2 * math.pi / 5, 0.05])
+def test_level_crossings_move_at_their_level(theta):
+    model = LimitModel(rotation_coin(theta), InitialSpin(0.6, 0.8j))
+    table = kspace._LimitCdf(model)
+    c, s = model.a_abs, model.b_abs
+    a = np.linspace(0.0, table.hull, 4001)[1:-1]
+    up, down = table.crossings(a)
+    for level, kappa in ((a, up), (-a, down)):
+        # levels beyond the velocity range cross nowhere: kappa is pi/2
+        reached = level > table.low
+        assert np.all(kappa[~reached] == 0.5 * math.pi)
+        h = kspace._velocities(c, s, kappa[reached])[1]
+        assert np.all(np.abs(h - level[reached]) <= 1e-13)
+
+
+def test_cdf_is_exact_beyond_the_hull_and_monotone():
+    xs = np.linspace(-1.0, 1.0, 100_001)
+    for model in _models_from_wide_to_narrow_turns():
+        cdf = limit_cdf(model, xs)
+        hull = support_intervals(model).positive[1]
+        assert np.all(cdf[xs <= -hull] == 0.0)
+        assert np.all(cdf[xs >= hull] == 1.0)
+        assert np.all(np.diff(cdf) >= 0.0)
