@@ -9,7 +9,6 @@ the forbidden gap, mirror asymmetry, and moment-error sweeps.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -171,30 +170,19 @@ class MomentErrors:
 def moment_report(
     model: LimitModel, times: Sequence[int], r_max: int = 4
 ) -> list[MomentErrors]:
-    """Moment-error sweep over walk times (headline check uses multiples of 3).
-
-    One walk reads every distinct time; the reports keep the input order.
-    """
+    """Moment-error sweep over walk times (headline check uses multiples of 3)."""
     _check_r_max(r_max)
-    times = [operator.index(t) for t in times]
-    if min(times, default=0) < 0:
-        raise ValueError("times must be nonnegative")
-    if not times:
-        return []
-    reference = [kspace_moment(model, r) for r in range(r_max + 1)]
-    distinct = sorted(set(times))
-    walk = _distributions(model.spin, canonical_protocol(model.coin), distinct)
-    dists = dict(zip(distinct, walk))
-    return [
-        MomentErrors(
-            time=t,
-            errors=tuple(
-                (r, abs(empirical_moment(dists[t], r, t) - m))
-                for r, m in enumerate(reference)
-            ),
+    reference = {r: kspace_moment(model, r) for r in range(r_max + 1)}
+    protocol = canonical_protocol(model.coin)
+    out = []
+    for t in times:
+        dist = distribution(evolve(model.spin, protocol, t))
+        errors = tuple(
+            (r, abs(empirical_moment(dist, r, t) - reference[r]))
+            for r in range(r_max + 1)
         )
-        for t in times
-    ]
+        out.append(MomentErrors(time=t, errors=errors))
+    return out
 
 
 @dataclass(frozen=True)

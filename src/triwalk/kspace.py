@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -346,20 +346,19 @@ def pushforward_density(
     return BinnedDensity(bin_edges=edges, density=np.diff(cdf) / (2.0 / bins))
 
 
-def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on ``[-1, 1]`` (Golub-Welsch), and the
-    map from values at the nodes to the monomial coefficients in ``t``,
-    highest first, of the integral from -1 to ``t`` of their interpolant."""
-    j = np.arange(1.0, n)
-    off = j / np.sqrt(4.0 * j * j - 1.0)
-    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    powers = np.arange(1, n + 1)
-    rows = np.linalg.inv(np.vander(nodes, n, increasing=True)) / powers[:, None]
+@cache
+def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """8-point Gauss-Legendre nodes and weights on ``[-1, 1]``, and the map
+    from values at the nodes to the monomial coefficients in ``t``, highest
+    first, of the integral from -1 to ``t`` of their interpolant."""
+    # numpy loads numpy.polynomial on first use; a table build pays for it.
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    powers = np.arange(1, 9)
+    rows = np.linalg.inv(np.vander(nodes, 8, increasing=True)) / powers[:, None]
     integral = np.vstack((rows[::-1], -((-1.0) ** powers) @ rows))
-    return nodes, 2.0 * vectors[0] ** 2, integral
+    return nodes, weights, integral
 
 
-_GL_NODES, _GL_WEIGHTS, _GL_INTEGRAL = _panel_rule(8)
 # Table panels per unit of the graded coordinate asinh((k - k0) / width): 8
 # already agree with 4x as many to 5e-14, 16 to rounding.
 _PANELS_PER_UNIT = 16
@@ -385,10 +384,9 @@ class _LimitCdf:
     panels of equal width in ``asinh((k - k0) / width)``, ``width = c s``
     (``k0 = pi/2``, ``width = 1`` without a turn), as the exact integral of
     the interpolant of its rate at 8 Gauss-Legendre nodes per panel.
-    ``split`` divides every panel; doubling it moves ``F`` by ~1e-15.
     """
 
-    def __init__(self, model: LimitModel, split: int = 1) -> None:
+    def __init__(self, model: LimitModel) -> None:
         c, s, alpha, beta = _reduced(model)
         c2 = c * c
         self.c2, self.s = c2, s
@@ -402,10 +400,11 @@ class _LimitCdf:
             self.k0, self.width = 0.5 * math.pi, 1.0
         self.xi0 = math.asinh(-self.k0 / self.width)
         span = math.asinh((0.5 * math.pi - self.k0) / self.width) - self.xi0
-        self.panels = split * math.ceil(_PANELS_PER_UNIT * span)
+        self.panels = math.ceil(_PANELS_PER_UNIT * span)
         self.step = span / self.panels
+        nodes, weights, integral = _panel_rule()
         xi = self.xi0 + self.step * (
-            np.arange(self.panels)[:, None] + 0.5 * (_GL_NODES + 1.0)
+            np.arange(self.panels)[:, None] + 0.5 * (nodes + 1.0)
         )
         k = self.k0 + self.width * np.sinh(xi)
         folds = np.stack((k, -k, math.pi - k, k - math.pi))
@@ -414,8 +413,8 @@ class _LimitCdf:
         rate = (w[1, 0] + w[0, 1] + w[1, 2] + w[0, 3]) * (
             self.width * np.cosh(xi) * self.step / (4.0 * math.pi)
         )
-        self.coef = rate @ _GL_INTEGRAL.T
-        start = np.cumsum(rate @ _GL_WEIGHTS)
+        self.coef = rate @ integral.T
+        start = np.cumsum(rate @ weights)
         self.coef[1:, -1] += start[:-1]
         self.total = float(start[-1])
 
@@ -450,11 +449,17 @@ class _LimitCdf:
         y_up = 3.0 * m * (self.hull - a) * (self.hull + a) / (4.0 * c2 * b)
         y_down = b / (12.0 * c2 * one)
         # 12c^2 (1 - a^2) (1 - y*(+-a)) = A +- a R, whose product is
-        # 9 (1 - a^2) (low^2 - a^2): the factor without a zero on [0, hull)
-        # is formed directly, the other from the product.
+        # 9 (1 - a^2) (low^2 - a^2): the factor without a zero on (0, hull)
+        # is formed directly, the other from the product.  At low = 0 both
+        # vanish at a = 0, where 1 - y* is 0 on both sides.
         sign = 1.0 if low <= 0.0 else -1.0
         direct = 3.0 * (1.0 - 2.0 * c2) * sq - 3.0 * low + sign * ar
-        other = 3.0 * (low - a) * (low + a) / (4.0 * c2 * direct)
+        other = np.divide(
+            3.0 * (low - a) * (low + a),
+            4.0 * c2 * direct,
+            out=np.zeros_like(a),
+            where=direct != 0.0,
+        )
         direct /= 12.0 * c2 * one
         q_up, q_down = (direct, other) if sign > 0.0 else (other, direct)
         y = np.concatenate((y_up, y_down))

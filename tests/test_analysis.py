@@ -20,7 +20,6 @@ from triwalk import (
     gap_mass,
     general_coin,
     ks_distance,
-    kspace_moment,
     ks_statistic,
     limit_cdf,
     mirror_asymmetry,
@@ -153,20 +152,6 @@ def test_ks_distance_is_exact(pi4_model, gap_model):
             extra_points=support_intervals(model).endpoint_values(),
         )
         assert abs(ks_distance(dist, 99, model) - exact) <= 1e-9
-
-
-def test_moment_report_reads_every_time_from_one_walk(gap_model):
-    times = [300, 9, 30, 9, 45]
-    report = moment_report(gap_model, times, r_max=3)
-    assert [entry.time for entry in report] == times
-    protocol = canonical_protocol(gap_model.coin)
-    for entry in report:
-        dist = distribution(evolve(gap_model.spin, protocol, entry.time))
-        for r, error in entry.errors:
-            reference = abs(
-                empirical_moment(dist, r, entry.time) - kspace_moment(gap_model, r)
-            )
-            assert abs(error - reference) <= 1e-12
 
 
 def test_moment_report_zero_order_error_vanishes(pi4_model):

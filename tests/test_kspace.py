@@ -1,11 +1,13 @@
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
 from triwalk import (
+    CoinOperator,
     DegenerateQuasimomentum,
     InitialSpin,
     LimitModel,
@@ -417,17 +419,20 @@ def test_refined_cdf_at_support_endpoints():
         assert np.max(np.abs(limit_cdf(model, xs) - exact)) <= 1e-10
 
 
-def test_cdf_refinement_accuracy_against_finer_grid():
-    # Splitting every table panel in two moves nothing beyond rounding, from
-    # a wide turn down to a turn of width ~1e-4 and at a near-trivial angle.
+def test_cdf_refinement_accuracy_against_finer_grid(monkeypatch):
+    # Twice as many table panels move nothing beyond rounding, from a wide
+    # turn down to a turn of width ~1e-4 and at a near-trivial angle.
     spin = InitialSpin(0.6, 0.8j)
     xs = np.linspace(-1.0, 1.0, 2001)
     for theta in (math.pi / 4, 0.05, 0.01, 0.001, 1e-4, 1.5706):
         model = LimitModel(rotation_coin(theta), spin)
         at = np.concatenate((xs, support_intervals(model).endpoint_values()))
-        default = kspace._LimitCdf(model)(at)
-        finer = kspace._LimitCdf(model, 2)(at)
-        assert np.max(np.abs(default - finer)) <= 1e-12
+        default = kspace._LimitCdf(model)
+        with monkeypatch.context() as patch:
+            patch.setattr(kspace, "_PANELS_PER_UNIT", 2 * kspace._PANELS_PER_UNIT)
+            finer = kspace._LimitCdf(model)
+        assert finer.panels >= 2 * default.panels - 1
+        assert np.max(np.abs(default(at) - finer(at))) <= 1e-12
 
 
 def test_cdf_for_general_coin_matches_its_density():
@@ -486,7 +491,31 @@ def _models_from_wide_to_narrow_turns():
     thetas = (math.pi / 4, 2 * math.pi / 5, 0.35, 0.05, 0.001, 1e-4, 1.5706)
     models = [LimitModel(rotation_coin(theta), spin) for theta in thetas]
     models.append(LimitModel(general_coin(0.3, 0.1, 0.9, 1.0), spin))
+    models.append(LimitModel(_touching_halves_coin(), spin))
     return models
+
+
+def _touching_halves_coin():
+    # |a| = 1/2 exactly: the inner support ends (1 - 4|a|^2) / 3 meet at 0.
+    b = math.sqrt(0.75)
+    return CoinOperator(np.array([[0.5, b], [b, -0.5]], dtype=np.complex128))
+
+
+def test_cdf_where_the_support_halves_touch():
+    # At x = 0 both level crossings are double roots of their quadratics;
+    # they land on pi/2 with no 0/0 on the way.
+    for spin in (InitialSpin(0.6, 0.8j), symmetric_spin()):
+        model = LimitModel(_touching_halves_coin(), spin)
+        table = kspace._LimitCdf(model)
+        assert table.low == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            up, down = table.crossings(np.array([0.0, 1e-300, 1e-12]))
+            xs = np.array([-0.3, -1e-12, 0.0, 1e-12, 0.3])
+            cdf = limit_cdf(model, xs)
+        assert up[0] == down[0] == 0.5 * math.pi
+        assert np.all(np.diff(cdf) > 0.0)
+        assert np.max(np.abs(cdf - cdf_by_quadrature(model, xs))) <= 1e-10
 
 
 def test_velocity_falls_monotonically_in_sin_squared():
