@@ -7,8 +7,8 @@ eigenvector overlap weights *is* the limit law.  This module exposes:
 
 - :func:`eigen_system` / :func:`group_velocity`: the closed-form branches
   for a rotation-form coin;
-- :func:`kspace_moment`: moments of the limit law by midpoint quadrature
-  over quasi-momentum (smooth integrand, no density singularities);
+- :func:`kspace_moment`: moments of the limit law, from the same weight
+  integral on the same panels as the CDF, exact to rounding;
 - :func:`limit_cdf`: the cumulative law, exact to rounding: closed-form
   level crossings of the branch velocities bound the momenta below each
   point, and one tabulated weight integral per model measures them;
@@ -48,10 +48,6 @@ __all__ = [
 ]
 
 DEFAULT_CELLS = 1 << 16
-# The default moment grid doubles from _MIN_CELLS until two tables agree to
-# _SETTLED in every order.
-_MIN_CELLS = 64
-_SETTLED = 1e-14
 
 _K_GUARD = 1e-9
 
@@ -158,8 +154,8 @@ def _branches(
     weight is ``(|alpha|^2 + |beta|^2) / 2 +- t``, with ``t`` half the
     spin's Bloch vector along ``n``.  Nothing is divided by a difference
     that cancels, and the two weights at each ``k`` sum to ``|alpha|^2 +
-    |beta|^2`` within rounding.  This is the one pass that a moment table
-    or the CDF table makes.
+    |beta|^2`` within rounding.  This is the one pass that the CDF table
+    makes, for the CDF and the moments alike.
     """
     t = _tables(c, s, k)
     up, down = abs(alpha) ** 2, abs(beta) ** 2
@@ -231,82 +227,24 @@ def group_velocity(coin: CoinOperator, k: float, branch: int) -> float:
     return float(_velocities(c, s, np.array([float(k)]))[branch - 1, 0])
 
 
-def _midpoints(cells: int) -> np.ndarray:
-    dk = 2.0 * math.pi / cells
-    return -math.pi + dk * (np.arange(cells) + 0.5)
-
-
 def _reduced(model: LimitModel) -> tuple[float, float, complex, complex]:
     alpha, beta = model.effective_spin
     return model.a_abs, model.b_abs, alpha, beta
 
 
-def _moment_table(model: LimitModel, cells: int) -> np.ndarray:
-    """Moments of orders 0..8 on one midpoint grid, from one branch pass.
+def kspace_moment(model: LimitModel, r: int) -> float:
+    """``r``-th moment of the limit law, by quadrature over quasi-momentum.
 
-    A running product ``h^r w`` stands in for ``h**r * w``: one multiply per
-    order instead of a power.
-    """
-    c, s, alpha, beta = _reduced(model)
-    h, hw = _branches(c, s, _midpoints(cells), alpha, beta)
-    table = np.empty(9)
-    for r in range(9):
-        if r:
-            hw *= h
-        table[r] = np.sum(hw) / cells
-    return table
-
-
-def kspace_moment(model: LimitModel, r: int, *, cells: int | None = None) -> float:
-    """``r``-th moment of the limit law by midpoint quadrature over momentum.
-
-    Uses open uniform grids, which never sample the degenerate points
-    ``k = 0, +-pi``.  Each grid yields every order 0..8 from one branch
-    pass, and its table is memoized per model and grid size, so the other
-    orders then cost nothing.  ``r`` is an integer from 0 to 8, like the
-    empirical moments.  The integrand is smooth and periodic, so the error
-    falls exponentially with the grid size.  What each setting buys:
-
-    - ``cells=None`` (the default) doubles the grid from 64 cells and stops
-      at the first pair whose tables agree to 1e-14 in all nine orders,
-      returning the finer table's entry; the stop depends on the model
-      only, and that last difference is the error bound.  Angles at least
-      0.1 from a multiple of pi/2 settled by 2,048 cells, and 1.5706 by
-      128; 0.01 takes 16,384.
-    - A model that has not settled by the pair ``(DEFAULT_CELLS,
-      2 * DEFAULT_CELLS)``, such as the angle 0.001, falls back to that
-      pair as below.
-    - An explicit ``cells`` uses the pair ``(cells, 2 * cells)`` and returns
-      the finer value, after checking that the requested order moved by at
-      most 1e-8 between the two.
-
-    Raises
-    ------
-    ArithmeticError
-        If the 1e-8 check of the fixed pair fails.
+    Reads the nine moments (orders 0..8, like the empirical moments) that
+    the model's CDF table computes on its own Gauss-Legendre panels (see
+    :class:`_LimitCdf`), so every order of a model costs one table build.
+    The panels are graded around the one sharp turn of the weights, so the
+    rule is exact to rounding at every angle ``LimitModel`` accepts.
     """
     r = operator.index(r)
     if not 0 <= r <= 8:
         raise ValueError("moment order must be between 0 and 8")
-    if cells is None:
-        cells = _MIN_CELLS
-        coarse = _cached(_moment_table, model, cells)
-        while cells < DEFAULT_CELLS:
-            cells *= 2
-            fine = _cached(_moment_table, model, cells)
-            if np.max(np.abs(fine - coarse)) <= _SETTLED:
-                return float(fine[r])
-            coarse = fine
-        # Not settled: cells is now DEFAULT_CELLS, the fixed pair below.
-    else:
-        cells = _check_cells(cells)
-    coarse = _cached(_moment_table, model, cells)[r]
-    fine = _cached(_moment_table, model, 2 * cells)[r]
-    if abs(fine - coarse) > 1e-8:
-        raise ArithmeticError(
-            "moment quadrature refinement estimate exceeds 1e-8; raise cells"
-        )
-    return float(fine)
+    return float(_table(model).moments[r])
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,7 +260,9 @@ class BinnedDensity:
 
     @property
     def bin_width(self) -> float:
-        return float(self.bin_edges[1] - self.bin_edges[0])
+        # from the span, not edges[1] - edges[0], which carries linspace's rounding
+        edges = self.bin_edges
+        return float((edges[-1] - edges[0]) / (edges.size - 1))
 
     def total_mass(self) -> float:
         return float(np.sum(self.density) * self.bin_width)
@@ -342,7 +282,7 @@ def pushforward_density(
     if bins < 100:
         raise ValueError("need at least 100 bins for a meaningful estimate")
     edges = np.linspace(-1.0, 1.0, bins + 1)
-    cdf = _cached(_LimitCdf, model)(edges)
+    cdf = _table(model)(edges)
     return BinnedDensity(bin_edges=edges, density=np.diff(cdf) / (2.0 / bins))
 
 
@@ -383,7 +323,9 @@ class _LimitCdf:
     sqrt((1 + 2c^2) / (4c^2))`` when ``2c^2 > 1``.  ``Phi`` is tabulated on
     panels of equal width in ``asinh((k - k0) / width)``, ``width = c s``
     (``k0 = pi/2``, ``width = 1`` without a turn), as the exact integral of
-    the interpolant of its rate at 8 Gauss-Legendre nodes per panel.
+    the interpolant of its rate at 8 Gauss-Legendre nodes per panel.  The
+    same nodes give the moments ``m_r = (1/2pi) int_0^{pi/2} [g^r u +
+    (-g)^r (4N - u)] dk`` of orders 0..8, as ``moments``.
     """
 
     def __init__(self, model: LimitModel) -> None:
@@ -408,11 +350,20 @@ class _LimitCdf:
         )
         k = self.k0 + self.width * np.sinh(xi)
         folds = np.stack((k, -k, math.pi - k, k - math.pi))
-        _, w = _branches(c, s, folds, alpha, beta)
-        # dPhi/dt on each panel, t in [-1, 1] its local coordinate
-        rate = (w[1, 0] + w[0, 1] + w[1, 2] + w[0, 3]) * (
-            self.width * np.cosh(xi) * self.step / (4.0 * math.pi)
-        )
+        h, w = _branches(c, s, folds, alpha, beta)
+        u = w[1, 0] + w[0, 1] + w[1, 2] + w[0, 3]
+        # dk/dt / 2pi on each panel, t in [-1, 1] its local coordinate
+        jac = self.width * np.cosh(xi) * (self.step / (4.0 * math.pi))
+        rate = u * jac  # dPhi/dt
+        # The moments of the docstring, g = h[1, 0] the velocity on the +g fold; a
+        # running product stands in for g**r.
+        g, plus, minus = h[1, 0], rate.copy(), (4.0 * self.norm - u) * jac
+        self.moments = np.empty(9)
+        for r in range(9):
+            if r:
+                plus *= g
+                minus *= -g
+            self.moments[r] = np.sum((plus + minus) @ weights)
         self.coef = rate @ integral.T
         start = np.cumsum(rate @ weights)
         self.coef[1:, -1] += start[:-1]
@@ -486,23 +437,21 @@ class _LimitCdf:
         return out
 
 
-# Per-model derived data keyed by (builder, *arguments); entries go with the model.
-_CACHE: "WeakKeyDictionary[LimitModel, dict]" = WeakKeyDictionary()
+# One table per model; it goes with the model.
+_CACHE: "WeakKeyDictionary[LimitModel, _LimitCdf]" = WeakKeyDictionary()
 
 
-def _cached(build, model: LimitModel, *args):
-    per_model = _CACHE.setdefault(model, {})
-    key = (build, *args)
-    if key not in per_model:
-        per_model[key] = build(model, *args)
-    return per_model[key]
+def _table(model: LimitModel) -> _LimitCdf:
+    table = _CACHE.get(model)
+    if table is None:
+        table = _CACHE[model] = _LimitCdf(model)
+    return table
 
 
-def _check_cells(cells: int) -> int:
+def _check_cells(cells: int) -> None:
     cells = operator.index(cells)
     if cells < 16 or cells % 2:
         raise ValueError("cells must be an even number, at least 16")
-    return cells
 
 
 def limit_cdf(model: LimitModel, x, *, refine: bool = True) -> float | np.ndarray:
@@ -519,5 +468,5 @@ def limit_cdf(model: LimitModel, x, *, refine: bool = True) -> float | np.ndarra
     points give NaN.  ``refine`` is accepted and ignored: there is one CDF.
     """
     arr = np.asarray(x, dtype=np.float64)
-    out = _cached(_LimitCdf, model)(arr.ravel())
+    out = _table(model)(arr.ravel())
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

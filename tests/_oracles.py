@@ -134,3 +134,28 @@ def cdf_by_quadrature(model, points) -> np.ndarray:
     out[points >= ends[-1]] = cumulative[-1]
     out[points <= ends[0]] = 0.0
     return out
+
+
+def moment_table(model, cells: int) -> np.ndarray:
+    """Moments of orders 0..8 by the midpoint rule on ``cells`` momentum cells.
+
+    The slow oracle for the panel moments: an open uniform grid over
+    ``(-pi, pi)``, which never samples the degenerate points ``k = 0,
+    +-pi``, and one branch pass.  The integrand is smooth and periodic, so
+    the error falls exponentially with ``cells``, but a small angle needs a
+    grid of about ``1 / theta`` cells and more.  A running product ``h^r w``
+    stands in for ``h**r * w``.
+    """
+    import math
+
+    from triwalk import kspace
+
+    alpha, beta = model.effective_spin
+    k = -math.pi + (np.arange(cells) + 0.5) * (2.0 * math.pi / cells)
+    h, hw = kspace._branches(model.a_abs, model.b_abs, k, alpha, beta)
+    table = np.empty(9)
+    for r in range(9):
+        if r:
+            hw *= h
+        table[r] = np.sum(hw) / cells
+    return table

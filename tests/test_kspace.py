@@ -27,7 +27,7 @@ from triwalk import (
 
 from triwalk import kspace
 
-from _oracles import cdf_by_quadrature, random_safe_angle
+from _oracles import cdf_by_quadrature, moment_table, random_safe_angle
 
 
 def open_grid(n):
@@ -133,8 +133,9 @@ def test_velocity_range_matches_support(gap_model, pi4_model):
 
 
 def test_moment_order_zero_is_one(pi4_model, gap_model, leftward_model):
-    for model in (pi4_model, gap_model, leftward_model):
-        assert kspace_moment(model, 0) == pytest.approx(1.0, abs=1e-10)
+    models = (pi4_model, gap_model, leftward_model, *_models_from_wide_to_narrow_turns())
+    for model in models:
+        assert abs(kspace_moment(model, 0) - 1.0) <= 1e-15
 
 
 def test_first_moment_vanishes_for_symmetric_spin(pi4_model, gap_model):
@@ -159,48 +160,53 @@ def test_moments_match_density_quadrature(pi4_model, leftward_model):
         assert kspace_moment(model, r) == pytest.approx(direct, abs=1e-6)
 
 
-def test_moment_quadrature_error_estimate(pi4_model):
-    coarse = kspace_moment(pi4_model, 2, cells=1 << 15)
-    fine = kspace_moment(pi4_model, 2, cells=1 << 16)
-    assert abs(fine - coarse) <= 1e-8
-
-
 def test_moment_order_capped(pi4_model):
     with pytest.raises(ValueError):
         kspace_moment(pi4_model, 9)
 
 
-def test_moment_raises_when_refinement_estimate_misses():
-    # nearly trivial angle: the integrand is too sharp for the default grid
-    model = LimitModel(rotation_coin(1e-4), symmetric_spin())
-    with pytest.raises(ArithmeticError):
-        kspace_moment(model, 2)
-    assert kspace_moment(model, 2, cells=1 << 18) == pytest.approx(0.99988453, abs=1e-6)
-
-
-def _per_order_moments(model, cells):
-    """Each order on its own, as ``h**r * w`` on the refined grid of 2*cells."""
-    alpha, beta = model.effective_spin
-    h, w = kspace._branches(model.a_abs, model.b_abs, open_grid(2 * cells), alpha, beta)
-    return [float(np.sum(h**r * w) / (2 * cells)) for r in range(9)]
-
-
-def test_one_pass_moments_match_per_order_formula():
+def _moment_models():
     spin = InitialSpin(0.6, 0.8j)
-    models = [
-        LimitModel(rotation_coin(math.pi / 4), symmetric_spin()),  # no gap
-        LimitModel(rotation_coin(2 * math.pi / 5), spin),  # gap
-        LimitModel(rotation_coin(2.5), spin),  # outside (0, pi/2)
+    thetas = (math.pi / 4, 2 * math.pi / 5, 0.35, 0.05, 0.01, 1.5706, 0.001, 2.5)
+    return [
+        *(LimitModel(rotation_coin(theta), spin) for theta in thetas),
         LimitModel(general_coin(0.3, 0.1, 0.9, 1.0), spin),
         LimitModel(
             general_coin(-1.1, 2.0, 0.4, 0.6),
             InitialSpin(complex(0.48, 0.36), complex(0.0, -0.8)),
         ),
     ]
+
+
+def test_one_pass_moments_match_per_order_formula():
+    # The oracle's running product h^r w against h**r * w, order by order.
     cells = 1 << 16
-    for model in models:
-        for r, expected in enumerate(_per_order_moments(model, cells)):
-            assert abs(kspace_moment(model, r, cells=cells) - expected) <= 1e-14
+    for model in _moment_models():
+        alpha, beta = model.effective_spin
+        h, w = kspace._branches(model.a_abs, model.b_abs, open_grid(cells), alpha, beta)
+        table = moment_table(model, cells)
+        for r in range(9):
+            assert abs(table[r] - np.sum(h**r * w) / cells) <= 1e-14
+
+
+def test_panel_moments_match_the_midpoint_oracle():
+    # 2^18 midpoint cells resolve every angle of _moment_models to rounding;
+    # at 1e-4 a 2^18-cell grid is itself off by ~4e-10, and 2^20 is not.
+    cases = [(model, 1 << 18) for model in _moment_models()]
+    cases.append((LimitModel(rotation_coin(1e-4), symmetric_spin()), 1 << 20))
+    for model, cells in cases:
+        panels = [kspace_moment(model, r) for r in range(9)]
+        assert np.max(np.abs(panels - moment_table(model, cells))) <= 1e-14
+
+
+def test_panel_moments_do_not_move_with_twice_the_panels(monkeypatch):
+    for model in (*_moment_models(), LimitModel(rotation_coin(1e-4), symmetric_spin())):
+        default = kspace._LimitCdf(model)
+        with monkeypatch.context() as patch:
+            patch.setattr(kspace, "_PANELS_PER_UNIT", 2 * kspace._PANELS_PER_UNIT)
+            finer = kspace._LimitCdf(model)
+        assert finer.panels >= 2 * default.panels - 1
+        assert np.max(np.abs(finer.moments - default.moments)) <= 1e-15
 
 
 def test_moment_values_do_not_depend_on_call_order():
@@ -212,60 +218,6 @@ def test_moment_values_do_not_depend_on_call_order():
     ascending = {r: kspace_moment(fresh, r) for r in range(9)}
     for r in range(9):
         assert ascending[r] == descending[r]
-
-
-@pytest.mark.parametrize("orders", [range(9), range(8, -1, -1)])
-def test_refinement_check_is_per_order(orders):
-    # A 16-cell grid resolves orders 0, 1 and 8 to 1e-8 but not 2 or 4.
-    model = LimitModel(rotation_coin(1.2), InitialSpin(0.6, 0.8j))
-    for r in orders:
-        if r in (2, 4):
-            with pytest.raises(ArithmeticError):
-                kspace_moment(model, r, cells=16)
-        elif r in (0, 1, 8):
-            assert math.isfinite(kspace_moment(model, r, cells=16))
-
-
-def test_default_grid_moments_match_the_fixed_pair():
-    spin = InitialSpin(0.6, 0.8j)
-    models = [
-        # the models of test_one_pass_moments_match_per_order_formula
-        LimitModel(rotation_coin(math.pi / 4), symmetric_spin()),
-        LimitModel(rotation_coin(2 * math.pi / 5), spin),
-        LimitModel(rotation_coin(2.5), spin),
-        LimitModel(general_coin(0.3, 0.1, 0.9, 1.0), spin),
-        LimitModel(
-            general_coin(-1.1, 2.0, 0.4, 0.6),
-            InitialSpin(complex(0.48, 0.36), complex(0.0, -0.8)),
-        ),
-        # small angles settle late, near pi/2 early
-        *(LimitModel(rotation_coin(theta), spin) for theta in (0.01, 0.05, 1.56)),
-    ]
-    for model in models:
-        for r in range(9):
-            fixed = kspace_moment(model, r, cells=kspace.DEFAULT_CELLS)
-            assert abs(kspace_moment(model, r) - fixed) <= 1e-14
-
-
-def test_default_grid_falls_back_to_the_fixed_pair():
-    # The grid a small angle needs grows about as 1/theta (0.01 settles at
-    # 16,384 cells), so at 0.001 the ladder has not settled by 2^16 cells.
-    model = LimitModel(rotation_coin(0.001), InitialSpin(0.6, 0.8j))
-    for r in range(9):
-        assert kspace_moment(model, r) == kspace_moment(
-            model, r, cells=kspace.DEFAULT_CELLS
-        )
-
-
-def test_default_grid_stops_early_on_a_smooth_integrand():
-    models = (
-        LimitModel(rotation_coin(math.pi / 4), symmetric_spin()),
-        # near-trivial, but smooth once its weights carry no rounding noise
-        LimitModel(rotation_coin(1.5706), InitialSpin(0.6, 0.8j)),
-    )
-    for model in models:
-        kspace_moment(model, 2)
-        assert max(cells for _, cells in kspace._CACHE[model]) <= 512
 
 
 def test_branch_weights_sum_to_spin_norm():
@@ -303,7 +255,7 @@ def test_moment_order_must_be_an_integer(pi4_model, r):
 
 def test_moment_memo_is_dropped_with_its_model():
     model = LimitModel(rotation_coin(1.2), InitialSpin(0.6, 0.8j))
-    kspace_moment(model, 3, cells=64)
+    kspace_moment(model, 3)
     assert model in kspace._CACHE
     ref = weakref.ref(model)
     gc.collect()
@@ -315,9 +267,13 @@ def test_moment_memo_is_dropped_with_its_model():
 
 
 def test_pushforward_total_mass(pi4_model, gap_model):
-    for model in (pi4_model, gap_model):
-        hist = pushforward_density(model, 400)
-        assert hist.total_mass() == pytest.approx(1.0, abs=1e-8)
+    # The bin width comes from the span: edges[1] - edges[0] of a 10^5-bin
+    # linspace is 1e-12 off, and the mass with it.
+    for model in (pi4_model, gap_model, *_models_from_wide_to_narrow_turns()):
+        for bins in (100, 400, 10**5):
+            hist = pushforward_density(model, bins)
+            assert hist.bin_width == 2.0 / bins
+            assert abs(hist.total_mass() - 1.0) <= 1e-14
 
 
 def test_pushforward_needs_enough_bins(pi4_model):
@@ -476,14 +432,8 @@ def test_nan_abscissas_give_nan(pi4_model, refine):
 @pytest.mark.parametrize("cells", [16.0, np.float64(16)], ids=["float", "float64"])
 def test_cells_must_be_an_integer(cells):
     model = LimitModel(rotation_coin(1.2), InitialSpin(0.6, 0.8j))
-    # A grid memoized at 16 cells must not let an equal float through.
-    kspace_moment(model, 0, cells=16)
-    for call in (
-        lambda: kspace_moment(model, 0, cells=cells),
-        lambda: pushforward_density(model, 100, cells=cells),
-    ):
-        with pytest.raises(TypeError):
-            call()
+    with pytest.raises(TypeError):
+        pushforward_density(model, 100, cells=cells)
 
 
 def _models_from_wide_to_narrow_turns():
