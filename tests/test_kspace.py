@@ -189,14 +189,20 @@ def test_one_pass_moments_match_per_order_formula():
             assert abs(table[r] - np.sum(h**r * w) / cells) <= 1e-14
 
 
+def _assert_panel_moments_match(model, cells):
+    panels = [kspace_moment(model, r) for r in range(9)]
+    assert np.max(np.abs(panels - moment_table(model, cells))) <= 1e-14
+
+
 def test_panel_moments_match_the_midpoint_oracle():
-    # 2^18 midpoint cells resolve every angle of _moment_models to rounding;
-    # at 1e-4 a 2^18-cell grid is itself off by ~4e-10, and 2^20 is not.
-    cases = [(model, 1 << 18) for model in _moment_models()]
-    cases.append((LimitModel(rotation_coin(1e-4), symmetric_spin()), 1 << 20))
-    for model, cells in cases:
-        panels = [kspace_moment(model, r) for r in range(9)]
-        assert np.max(np.abs(panels - moment_table(model, cells))) <= 1e-14
+    # 2^18 midpoint cells resolve every angle of _moment_models to rounding.
+    for model in _moment_models():
+        _assert_panel_moments_match(model, 1 << 18)
+
+
+def test_panel_moments_at_a_tiny_angle_match_the_finer_oracle():
+    # At 1e-4 a 2^18-cell grid is itself off by ~4e-10, and 2^20 is not.
+    _assert_panel_moments_match(LimitModel(rotation_coin(1e-4), symmetric_spin()), 1 << 20)
 
 
 def test_panel_moments_do_not_move_with_twice_the_panels(monkeypatch):
