@@ -20,6 +20,7 @@ from .limit import LimitModel, support_intervals
 from .walk import (
     PositionDistribution,
     _check_scale,
+    _check_steps,
     _distributions,
     canonical_protocol,
     distribution,
@@ -170,19 +171,30 @@ class MomentErrors:
 def moment_report(
     model: LimitModel, times: Sequence[int], r_max: int = 4
 ) -> list[MomentErrors]:
-    """Moment-error sweep over walk times (headline check uses multiples of 3)."""
+    """Moment-error sweep over walk times (headline check uses multiples of 3).
+
+    Every distinct time is read in one walk pass, in increasing order;
+    the reports come in the order of ``times``.
+    """
     _check_r_max(r_max)
-    reference = {r: kspace_moment(model, r) for r in range(r_max + 1)}
+    reference = [kspace_moment(model, r) for r in range(r_max + 1)]
+    times = [_check_steps(t) for t in times]
+    if not times:
+        return []
     protocol = canonical_protocol(model.coin)
-    out = []
-    for t in times:
-        dist = distribution(evolve(model.spin, protocol, t))
-        errors = tuple(
-            (r, abs(empirical_moment(dist, r, t) - reference[r]))
-            for r in range(r_max + 1)
+    dists = {
+        d.t: d for d in _distributions(model.spin, protocol, sorted(set(times)))
+    }
+    return [
+        MomentErrors(
+            time=t,
+            errors=tuple(
+                (r, abs(empirical_moment(dists[t], r, t) - reference[r]))
+                for r in range(r_max + 1)
+            ),
         )
-        out.append(MomentErrors(time=t, errors=errors))
-    return out
+        for t in times
+    ]
 
 
 @dataclass(frozen=True)

@@ -419,19 +419,30 @@ class _LimitCdf:
         return kappa[: a.size], kappa[a.size :]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """CDF at a flat float array; exactly 0 and 1 beyond the hull, NaN at NaN."""
+        """CDF at a flat float array; exactly 0 and 1 beyond the hull, NaN at NaN.
+
+        The crossings and ``Phi`` depend on ``|x|`` alone.  So an input that
+        is its own mirror image, ``x == -x[::-1]`` like the rescaled
+        positions of a walk, is read on its second half only, and each
+        ``|x|`` gives both signs, bit for bit as a read of every point.
+        """
         out = np.where(x < 0.0, 0.0, 1.0)
-        inside = np.flatnonzero(np.abs(x) < self.hull)
+        half = x.size // 2
+        mirrored = half > 0 and np.array_equal(x, -x[::-1])
+        right = x[half:] if mirrored else x
+        inside = np.flatnonzero(np.abs(right) < self.hull)
         if inside.size:
-            xs = x[inside]
+            xs = right[inside]
             up, down = self.crossings(np.abs(xs))
             phi = self.phi(np.concatenate((up, down)))
-            cdf = (
-                self.total
-                - phi[: xs.size]
-                - phi[xs.size :]
-                + (2.0 * self.norm / math.pi) * np.where(xs < 0.0, up, down)
-            )
+            below = self.total - phi[: xs.size] - phi[xs.size :]
+            scale = 2.0 * self.norm / math.pi
+            if mirrored:
+                # the mirror point -xs is negative where xs is positive
+                cdf = below + scale * np.where(xs > 0.0, up, down)
+                out[x.size - 1 - half - inside] = np.clip(cdf, 0.0, 1.0)
+                inside += half
+            cdf = below + scale * np.where(xs < 0.0, up, down)
             out[inside] = np.clip(cdf, 0.0, 1.0)
         out[np.isnan(x)] = np.nan
         return out
@@ -465,7 +476,10 @@ def limit_cdf(model: LimitModel, x, *, refine: bool = True) -> float | np.ndarra
     rounding: within 1e-10 of a quadrature of the closed-form density, at
     the support endpoints too, and it stays accurate where the real-space
     density diverges.  Beyond the support hull it is exactly 0 or 1; NaN
-    points give NaN.  ``refine`` is accepted and ignored: there is one CDF.
+    points give NaN.  Points that mirror themselves, ``x == -x[::-1]`` like
+    a walk's rescaled positions, are read once per ``|x|``, with the same
+    bits as a read of each point.  ``refine`` is accepted and ignored: there
+    is one CDF.
     """
     arr = np.asarray(x, dtype=np.float64)
     out = _table(model)(arr.ravel())

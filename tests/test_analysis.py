@@ -195,6 +195,21 @@ def test_moment_report_of_one_time_equals_compare_walk(pi4_model, t):
     assert entry.errors == compare_walk(pi4_model, t).moment_errors
 
 
+def test_moment_report_reads_once_and_keeps_the_input_order(pi4_model):
+    # sparse: every read is one FFT, as a single report's is, bit for bit
+    sparse = [999, 60, 999, 300]
+    report = moment_report(pi4_model, sparse)
+    assert report == [moment_report(pi4_model, [t])[0] for t in sparse]
+    # dense: one stepped pass, against each time's own read
+    dense = [600, *range(3, 600, 3)]
+    report = moment_report(pi4_model, dense, r_max=8)
+    assert [entry.time for entry in report] == dense
+    for entry in report[::25]:
+        (single,) = moment_report(pi4_model, [entry.time], r_max=8)
+        for (r, got), (_, want) in zip(entry.errors, single.errors):
+            assert abs(got - want) <= 1e-12, (entry.time, r)
+
+
 def test_moment_report_of_no_times_and_a_negative_time(pi4_model):
     assert moment_report(pi4_model, []) == []
     with pytest.raises(ValueError):
@@ -285,3 +300,15 @@ def test_scale_must_be_positive_and_finite(gap_model, scale):
     ):
         with pytest.raises(ValueError, match="scale must be positive and finite"):
             call()
+
+
+def test_ks_distance_is_the_per_point_read_bit_for_bit(pi4_model, gap_model):
+    for model in (pi4_model, gap_model):
+        for t in (98, 99):
+            dist = distribution(evolve(model.spin, canonical_protocol(model.coin), t))
+            per_point = ks_statistic(
+                empirical_cdf(dist, t),
+                lambda xs: np.array([limit_cdf(model, float(x)) for x in xs]),
+                extra_points=support_intervals(model).endpoint_values(),
+            )
+            assert ks_distance(dist, t, model) == per_point

@@ -512,3 +512,41 @@ def test_cdf_is_exact_beyond_the_hull_and_monotone():
         assert np.all(cdf[xs <= -hull] == 0.0)
         assert np.all(cdf[xs >= hull] == 1.0)
         assert np.all(np.diff(cdf) >= 0.0)
+
+
+def _per_point(table, xs):
+    return np.concatenate([table(xs[i : i + 1]) for i in range(xs.size)])
+
+
+def test_mirrored_cdf_read_equals_per_point_reads():
+    # Rescaled walk positions are their own mirror image; the read of |x|
+    # serves both signs, bit for bit, at odd and even times.
+    models = [
+        LimitModel(rotation_coin(math.pi / 4), InitialSpin(0.6, 0.8j)),
+        LimitModel(_touching_halves_coin(), symmetric_spin()),
+        LimitModel(general_coin(0.4, 1.2, 2.2, 2.0), InitialSpin(0.6, -0.8j)),
+    ]
+    for model in models:
+        table = kspace._LimitCdf(model)
+        for t in (1, 2, 3, 98, 99, 998, 999):
+            xs = np.arange(-t, t + 1, 2) / t
+            assert np.array_equal(xs, -xs[::-1])
+            assert np.array_equal(table(xs), _per_point(table, xs))
+        # an inside point and its mirror at -0.0 and 0.0, and points beyond the hull
+        xs = np.array([-1.5, -0.3, -0.0, 0.0, 0.3, 1.5])
+        assert np.array_equal(table(xs), _per_point(table, xs))
+
+
+def test_cdf_read_falls_back_for_unmirrored_and_nan_input():
+    model = LimitModel(_touching_halves_coin(), symmetric_spin())
+    table = kspace._LimitCdf(model)
+    xs = np.arange(-99, 100, 2) / 99
+    shifted = xs + 1e-3
+    assert not np.array_equal(shifted, -shifted[::-1])
+    assert np.array_equal(table(shifted), _per_point(table, shifted))
+    holes = xs.copy()
+    holes[[0, -1]] = np.nan
+    cdf = table(holes)
+    assert np.all(np.isnan(cdf[[0, -1]]))
+    assert np.array_equal(cdf[1:-1], table(xs)[1:-1])
+    assert np.array_equal(cdf, _per_point(table, holes), equal_nan=True)

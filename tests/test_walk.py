@@ -29,6 +29,7 @@ from triwalk.walk import (
     _block,
     _distributions,
     _fourier_reads,
+    _smooth_size,
     _stepping,
     _walk,
 )
@@ -120,6 +121,28 @@ def test_empirical_moments_of_three_step_distribution():
     assert empirical_moment(dist, 0, 3.0) == pytest.approx(1.0, abs=1e-14)
     assert empirical_moment(dist, 1, 3.0) == pytest.approx(0.0, abs=1e-15)
     assert empirical_moment(dist, 2, 3.0) == pytest.approx(5.0 / 9.0, abs=1e-14)
+
+
+def test_running_product_moments_match_powers():
+    spin = InitialSpin(0.6, 0.8j)
+    rng = np.random.default_rng(31)
+    pos = np.unique(rng.integers(-500, 500, size=300))
+    prob = rng.random(pos.size)
+    general = canonical_protocol(general_coin(0.4, 1.2, 2.2, 2.0))
+    cases = [
+        (distribution(evolve(spin, three_period_protocol(1.1), 999)), 999.0),
+        (distribution(evolve(spin, general, 998)), 700.5),
+        (distribution(evolve(spin, three_period_protocol(0.3), 4482)), 4482.0),
+        # random weights on random positions of both signs
+        (PositionDistribution(pos, prob / prob.sum(), t=500), 377.0),
+    ]
+    for dist, scale in cases:
+        y, p = dist.positions / scale, dist.probabilities
+        for r in (0, 1):
+            assert empirical_moment(dist, r, scale) == float(np.sum(y**r * p))
+        for r in range(2, 9):
+            bound = 1e-15 * float(np.sum(np.abs(y) ** r * p))
+            assert abs(empirical_moment(dist, r, scale) - np.sum(y**r * p)) <= bound
 
 
 def test_moment_order_capped():
@@ -270,7 +293,7 @@ def test_fourier_amplitudes_match_stepping():
             assert np.max(np.abs(fast - stepped(spin, protocol, steps))) <= 1e-12
             assert np.all(fast[:, 1::2] == 0)
         WalkState(9999, fast).validate(norm_tol=1e-10)
-        # Sparse reads on one momentum grid: random ones and three close together.
+        # Sparse reads, each on its own grid: random ones and three close together.
         picks = reads_rng.choice(2999, size=20, replace=False).tolist()
         times = sorted({*picks, 1000, 1001, 1003, 2999})
         expected = stepped_reads(spin, protocol, times)
@@ -282,15 +305,54 @@ def test_fourier_amplitudes_match_stepping():
             assert np.all(fast[:, 1::2] == 0)
 
 
+def test_sparse_pass_reads_each_time_as_a_single_read():
+    rng = np.random.default_rng(29)
+    times = [0, 1, 2, 50, 999, 1000, 4482, 5976]
+    for protocol in PROTOCOLS:
+        spin = InitialSpin(*random_spin(rng))
+        reads = list(_fourier_reads(spin, protocol, times))
+        assert [t for t, _ in reads] == times
+        for t, amp in reads:
+            ((_, single),) = _fourier_reads(spin, protocol, [t])
+            assert np.array_equal(amp, single)
+
+
+def test_smooth_size_matches_a_brute_force_search():
+    top = 20_000
+    smooth = []
+    for m in range(1, 2 * top):
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            smooth.append(m)
+    i = 0
+    for n in range(1, top + 1):
+        while smooth[i] < n:
+            i += 1
+        assert _smooth_size(n) == smooth[i], n
+
+
+@pytest.mark.parametrize("theta", [math.pi / 4, 0.05, 1.5706])
+def test_fft_norm_drift_at_large_time(theta):
+    state = evolve(InitialSpin(0.6, 0.8j), three_period_protocol(theta), 99_999)
+    assert abs(state.norm() - 1.0) <= 1e-11
+    assert np.all(state.amplitudes[:, 1::2] == 0)
+
+
 def test_period_block_matches_fourier_block():
     k = np.array([-2.9, -0.4, 0.3, 1.7, 3.1])
     for protocol in PROTOCOLS:
-        block = _block(protocol.coins, np.exp(-2j * k))
+        coins = [None if c.is_identity() else c.matrix for c in protocol.coins]
+        entries = _block(coins, np.exp(-2j * k))
+        a, b, c, d = (np.broadcast_to(e, k.shape) for e in entries)
         # Each step's S(k) C carries the phase exp(ik) that the walk factors out.
         phase = np.exp(1j * k * protocol.period)
         for j in range(k.size):
+            block = np.array([[a[j], b[j]], [c[j], d[j]]])
             expected = fourier_block(protocol, k[j])
-            assert np.allclose(block[..., j] * phase[j], expected, rtol=0, atol=1e-14)
+            assert np.allclose(block * phase[j], expected, rtol=0, atol=1e-14)
 
 
 def test_evolve_takes_each_path_on_its_side_of_the_crossover():
