@@ -12,17 +12,23 @@ Data files are deterministic: identical configuration yields byte-identical
 output.  CSV files carry ``#``-prefixed header lines; JSON files are a
 single document ``{"config": ..., "data": ...}`` (or ``"report"`` for
 ``compare``, whose timings are the one intentionally non-reproducible
-field).  Floats are written with 17 significant digits, which round-trips
-doubles exactly.  Angles are radians throughout.
+field).  Every CSV value is written byte for byte as ``%d`` (int columns)
+or ``%.17g`` (float columns) writes it; 17 significant digits round-trip
+doubles exactly.  Rows go out in blocks, one ``%`` per block, and a key
+repeated down a column (the ``t`` of ``--every``, the ``theta`` of
+``sweep``) is formatted once per run.  Angles are radians throughout.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 import time
+from collections.abc import Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -48,6 +54,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
+
+# rows per ``%`` in the CSV writer: a block's text and lists stay under 1 MB
+# however long the table
+_BLOCK_ROWS = 4096
 
 
 class ConfigError(Exception):
@@ -159,25 +169,64 @@ def _write_json(path, config: dict, payload_key: str, payload) -> None:
             handle.close()
 
 
+def _csv_blocks(columns) -> Iterator[str]:
+    """The CSV rows of ``columns``, one string per block of ``_BLOCK_ROWS`` rows.
+
+    A value is written as ``%d`` (int columns) or ``%.17g`` (all others)
+    writes it.  A column with at most one run of bit-identical values per two
+    rows, such as the ``t`` and ``theta`` keys, is formatted once per run and
+    written through a ``%s`` slot (a float costs ~1 us to format, a lookup a
+    few tens of ns); runs are found on bit patterns, so ``-0.0`` next to
+    ``0.0``, or NaNs, never merge.  Every other column is listed one block at
+    a time, and each block is written by a single ``%``.
+    """
+    rows = columns[0].size
+    specs, keys = [], []
+    for column in columns:
+        spec = "%d" if column.dtype.kind == "i" else "%.17g"
+        bits = column.view(f"u{column.dtype.itemsize}")
+        change = bits[1:] != bits[:-1]
+        if 2 * (np.count_nonzero(change) + 1) > rows:
+            specs.append(spec)
+            keys.append(None)
+            continue
+        starts = np.flatnonzero(np.concatenate(([True], change)))
+        specs.append("%s")
+        keys.append((starts, [spec % v for v in column[starts].tolist()]))
+    row = ",".join(specs) + "\n"
+    for lo in range(0, rows, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, rows)
+        block = []
+        for column, key in zip(columns, keys):
+            if key is None:
+                block.append(column[lo:hi].tolist())
+            else:
+                starts, labels = key
+                runs = starts.searchsorted(np.arange(lo, hi), "right") - 1
+                block.append(map(labels.__getitem__, runs.tolist()))
+        yield (row * (hi - lo)) % tuple(chain.from_iterable(zip(*block)))
+
+
 def _emit_table(args, command: str, config: dict, names: list[str], columns) -> int:
     """Write numpy ``columns`` as CSV or JSON rows.
 
-    CSV writes int columns with ``%d`` and every other column with
-    ``%.17g``; JSON rows hold the columns' ``tolist()`` values.
+    CSV writes every value as ``%d`` (int columns) or ``%.17g`` (all
+    others) would write it, byte for byte, in blocks of ``_BLOCK_ROWS`` rows
+    with each run of a repeated key formatted once (see ``_csv_blocks``);
+    JSON rows hold the columns' ``tolist()`` values.
     """
-    values = [column.tolist() for column in columns]
     if args.format == "json":
+        values = [column.tolist() for column in columns]
         rows = [list(row) for row in zip(*values)]
         _write_json(args.output, config, "data", {"columns": names, "rows": rows})
         return EXIT_OK
-    row = ",".join("%d" if c.dtype.kind == "i" else "%.17g" for c in columns) + "\n"
     handle, close = _open_output(args.output)
     try:
         handle.write(f"# triwalk {command}\n")
         for key, value in config.items():
             handle.write(f"# {key}={json.dumps(value)}\n")
         handle.write(f"# columns: {','.join(names)}\n")
-        handle.writelines(map(row.__mod__, zip(*values)))
+        handle.writelines(_csv_blocks(columns))
     finally:
         if close:
             handle.close()
@@ -437,9 +486,15 @@ def _parse_args(parser: argparse.ArgumentParser, argv):
     return args
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process: parsing leaves it as
+    it was, and each ``parse_args`` call fills a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = _parse_args(parser, argv)
+    args = _parse_args(_parser(), argv)
     try:
         return args.func(args)
     except ConfigError as exc:

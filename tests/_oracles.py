@@ -8,6 +8,8 @@ evolution is a real cross-check.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 
@@ -159,3 +161,19 @@ def moment_table(model, cells: int) -> np.ndarray:
             hw *= h
         table[r] = np.sum(hw) / cells
     return table
+
+
+def csv_table(command: str, config: dict, names: list[str], columns) -> str:
+    """The CLI's CSV file for numpy ``columns``, written one row at a time.
+
+    The slow oracle for ``cli._emit_table``: whole columns listed, then one
+    ``row % tuple`` per row, with ``%d`` for int columns and ``%.17g`` for
+    every other column.
+    """
+    values = [column.tolist() for column in columns]
+    row = ",".join("%d" if c.dtype.kind == "i" else "%.17g" for c in columns) + "\n"
+    lines = [f"# triwalk {command}\n"]
+    lines += [f"# {key}={json.dumps(value)}\n" for key, value in config.items()]
+    lines.append(f"# columns: {','.join(names)}\n")
+    lines += map(row.__mod__, zip(*values))
+    return "".join(lines)
