@@ -93,10 +93,16 @@ def ks_statistic(
 ) -> float:
     """Sup-distance between a step CDF and a continuous CDF.
 
-    Both one-sided limits at every jump are checked; between jumps the
-    continuous CDF is monotone, so the supremum over each flat piece is
-    attained at its ends.  Extra evaluation points may be supplied (kinks
-    of the continuous CDF, typically support endpoints).
+    Both one-sided limits at every jump are checked.  Between jumps the
+    continuous CDF is nondecreasing, so on each flat piece of the step CDF
+    the distance is largest at the piece's ends, which the one-sided
+    limits at its two atoms already read: no point between atoms can raise
+    the supremum (Durbin, *Distribution Theory for Tests Based on the
+    Sample Distribution Function*, SIAM 1973).  Rounding keeps this, as
+    ``fl(C - F)`` is monotone in ``F``.  Only past the last atom can a
+    point add ``|1 - C_last|``, a rounding residue.  Extra evaluation
+    points may still be supplied (kinks of the continuous CDF, typically
+    support endpoints).
     """
     reference = np.asarray(cdf(ecdf.values), dtype=np.float64)
     upper = ecdf.cumulative
@@ -114,11 +120,15 @@ def ks_statistic(
 def ks_distance(dist: PositionDistribution, scale: float, model: LimitModel) -> float:
     """KS distance between the rescaled position ``X/scale`` and the limit law.
 
-    Exact to rounding: :func:`~triwalk.kspace.limit_cdf` is.
+    Exact to rounding: :func:`~triwalk.kspace.limit_cdf` is.  The limit CDF
+    is read at the atoms only: it is nondecreasing, so no support endpoint
+    between two atoms can raise the supremum (see :func:`ks_statistic`).
+    An endpoint past the last atom could add only ``|1 - C_last|``, a
+    rounding residue, and at ``scale = t`` the last atom is ``1``, past
+    every endpoint.
     """
     ecdf = empirical_cdf(dist, scale)
-    endpoints = support_intervals(model).endpoint_values()
-    return ks_statistic(ecdf, lambda xs: limit_cdf(model, xs), extra_points=endpoints)
+    return ks_statistic(ecdf, lambda xs: limit_cdf(model, xs))
 
 
 def gap_mass(
@@ -143,15 +153,24 @@ def gap_mass(
 
 
 def mirror_asymmetry(dist: PositionDistribution) -> float:
-    """KS distance between a lattice distribution and its mirror image."""
+    """KS distance between a lattice distribution and its mirror image.
+
+    Both CDFs are read at every position and its mirror image.  When the
+    positions are their own mirror image, as those of :func:`distribution`
+    are, position ``i`` of ``n`` mirrors to position ``n - 1 - i``, so the
+    reads are by index: ``P(X <= x_i)`` is ``cum[i + 1]`` and
+    ``P(-X <= x_i) = 1 - P(X < -x_i)`` is ``1 - cum[n - 1 - i]``.  Other
+    positions are read over their union with their mirror image, by
+    binary search.
+    """
     pos = dist.positions
-    prob = dist.probabilities
-    # The positions of :func:`distribution` are their own mirror image.
-    points = pos if np.array_equal(pos, -pos[::-1]) else np.union1d(pos, -pos)
-    cum = np.concatenate(([0.0], np.cumsum(prob)))
-    forward = cum[np.searchsorted(pos, points, side="right")]
-    # P(-X <= y) = 1 - P(X < -y)
-    mirrored = 1.0 - cum[np.searchsorted(pos, -points, side="left")]
+    cum = np.concatenate(([0.0], np.cumsum(dist.probabilities)))
+    if np.array_equal(pos, -pos[::-1]):
+        forward, mirrored = cum[1:], 1.0 - cum[-2::-1]
+    else:
+        points = np.union1d(pos, -pos)
+        forward = cum[np.searchsorted(pos, points, side="right")]
+        mirrored = 1.0 - cum[np.searchsorted(pos, -points, side="left")]
     return float(np.max(np.abs(forward - mirrored)))
 
 

@@ -14,9 +14,11 @@ single document ``{"config": ..., "data": ...}`` (or ``"report"`` for
 ``compare``, whose timings are the one intentionally non-reproducible
 field).  Every CSV value is written byte for byte as ``%d`` (int columns)
 or ``%.17g`` (float columns) writes it; 17 significant digits round-trip
-doubles exactly.  Rows go out in blocks, one ``%`` per block, and a key
-repeated down a column (the ``t`` of ``--every``, the ``theta`` of
-``sweep``) is formatted once per run.  Angles are radians throughout.
+doubles exactly.  A JSON table is byte for byte what ``json.dump(...,
+indent=1)`` writes for its rows.  Rows of either format go out in blocks,
+one ``%`` per block, and a key repeated down a column (the ``t`` of
+``--every``, the ``theta`` of ``sweep``) is formatted once per run.
+Angles are radians throughout.
 """
 
 from __future__ import annotations
@@ -169,21 +171,22 @@ def _write_json(path, config: dict, payload_key: str, payload) -> None:
             handle.close()
 
 
-def _csv_blocks(columns) -> Iterator[str]:
-    """The CSV rows of ``columns``, one string per block of ``_BLOCK_ROWS`` rows.
+def _blocks(columns, float_spec: str, row: str, sep: str) -> Iterator[str]:
+    """The rows of ``columns``, one string per block of ``_BLOCK_ROWS`` rows.
 
-    A value is written as ``%d`` (int columns) or ``%.17g`` (all others)
-    writes it.  A column with at most one run of bit-identical values per two
-    rows, such as the ``t`` and ``theta`` keys, is formatted once per run and
-    written through a ``%s`` slot (a float costs ~1 us to format, a lookup a
-    few tens of ns); runs are found on bit patterns, so ``-0.0`` next to
-    ``0.0``, or NaNs, never merge.  Every other column is listed one block at
-    a time, and each block is written by a single ``%``.
+    Each row is ``row.format(sep.join(cells))``, a value written as ``%d``
+    (int columns) or ``float_spec`` (all others) writes it.  A column with
+    at most one run of bit-identical values per two rows, such as the ``t``
+    and ``theta`` keys, is formatted once per run and written through a
+    ``%s`` slot (a float costs ~1 us to format, a lookup a few tens of ns);
+    runs are found on bit patterns, so ``-0.0`` next to ``0.0``, or NaNs,
+    never merge.  Every other column is listed one block at a time, and
+    each block is written by a single ``%``.
     """
     rows = columns[0].size
     specs, keys = [], []
     for column in columns:
-        spec = "%d" if column.dtype.kind == "i" else "%.17g"
+        spec = "%d" if column.dtype.kind == "i" else float_spec
         bits = column.view(f"u{column.dtype.itemsize}")
         change = bits[1:] != bits[:-1]
         if 2 * (np.count_nonzero(change) + 1) > rows:
@@ -193,7 +196,7 @@ def _csv_blocks(columns) -> Iterator[str]:
         starts = np.flatnonzero(np.concatenate(([True], change)))
         specs.append("%s")
         keys.append((starts, [spec % v for v in column[starts].tolist()]))
-    row = ",".join(specs) + "\n"
+    row = row.format(sep.join(specs))
     for lo in range(0, rows, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, rows)
         block = []
@@ -207,26 +210,46 @@ def _csv_blocks(columns) -> Iterator[str]:
         yield (row * (hi - lo)) % tuple(chain.from_iterable(zip(*block)))
 
 
+def _write_json_table(handle, config: dict, names: list[str], columns) -> None:
+    """The document ``json.dump(..., indent=1)`` writes for the table, byte
+    for byte, with its rows written by :func:`_blocks`.
+
+    ``%d`` and ``%r`` write ints and floats as ``json`` does, but for the
+    non-finite floats, which ``json`` writes as ``NaN``, ``Infinity`` and
+    ``-Infinity``: no other value's text holds ``nan`` or ``inf``.
+    """
+    doc = {"config": config, "data": {"columns": names, "rows": []}}
+    head, tail = json.dumps(doc, indent=1).rsplit("[]", 1)
+    if not columns[0].size:
+        handle.write(f"{head}[]{tail}\n")
+        return
+    # every row opens with its separator; the first row's is dropped
+    blocks = _blocks(columns, "%r", ",\n   [\n    {}\n   ]", ",\n    ")
+    blocks = (b.replace("nan", "NaN").replace("inf", "Infinity") for b in blocks)
+    handle.write(f"{head}[{next(blocks)[1:]}")
+    handle.writelines(blocks)
+    handle.write(f"\n  ]{tail}\n")
+
+
 def _emit_table(args, command: str, config: dict, names: list[str], columns) -> int:
     """Write numpy ``columns`` as CSV or JSON rows.
 
-    CSV writes every value as ``%d`` (int columns) or ``%.17g`` (all
-    others) would write it, byte for byte, in blocks of ``_BLOCK_ROWS`` rows
-    with each run of a repeated key formatted once (see ``_csv_blocks``);
-    JSON rows hold the columns' ``tolist()`` values.
+    Both formats go out in blocks of ``_BLOCK_ROWS`` rows, with each run of
+    a repeated key formatted once (see :func:`_blocks`).  CSV writes every
+    value as ``%d`` (int columns) or ``%.17g`` (all others) would write it,
+    byte for byte; JSON writes the bytes of ``json.dump(..., indent=1)`` of
+    the columns' ``tolist()`` rows.
     """
-    if args.format == "json":
-        values = [column.tolist() for column in columns]
-        rows = [list(row) for row in zip(*values)]
-        _write_json(args.output, config, "data", {"columns": names, "rows": rows})
-        return EXIT_OK
     handle, close = _open_output(args.output)
     try:
-        handle.write(f"# triwalk {command}\n")
-        for key, value in config.items():
-            handle.write(f"# {key}={json.dumps(value)}\n")
-        handle.write(f"# columns: {','.join(names)}\n")
-        handle.writelines(_csv_blocks(columns))
+        if args.format == "json":
+            _write_json_table(handle, config, names, columns)
+        else:
+            handle.write(f"# triwalk {command}\n")
+            for key, value in config.items():
+                handle.write(f"# {key}={json.dumps(value)}\n")
+            handle.write(f"# columns: {','.join(names)}\n")
+            handle.writelines(_blocks(columns, "%.17g", "{}\n", ","))
     finally:
         if close:
             handle.close()

@@ -8,6 +8,7 @@ evolution is a real cross-check.
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -177,3 +178,48 @@ def csv_table(command: str, config: dict, names: list[str], columns) -> str:
     lines.append(f"# columns: {','.join(names)}\n")
     lines += map(row.__mod__, zip(*values))
     return "".join(lines)
+
+
+def json_table(config: dict, names: list[str], columns) -> str:
+    """The CLI's JSON table file for numpy ``columns``, through ``json.dump``.
+
+    The slow oracle for ``cli._emit_table``'s JSON branch: whole columns
+    listed, zipped into row lists, and the document written by
+    ``json.dump(indent=1)``'s pure-Python encoder.
+    """
+    values = [column.tolist() for column in columns]
+    rows = [list(row) for row in zip(*values)]
+    out = io.StringIO()
+    json.dump({"config": config, "data": {"columns": names, "rows": rows}}, out, indent=1)
+    out.write("\n")
+    return out.getvalue()
+
+
+def fourier_reads(spin, protocol, times):
+    """The FFT reads of ``walk._fourier_reads`` with a fresh array for every
+    product: the slow oracle for its buffered arithmetic, which must keep
+    every bit of this one."""
+    from triwalk.walk import _block, _roots_of_unity, _smooth_size
+
+    coins = [None if c.is_identity() else c.matrix for c in protocol.coins]
+    for t in times:
+        n = _smooth_size(t + 1)
+        w = _roots_of_unity(n)
+        a, b, c, d = _block(coins, w)
+        v0, v1 = spin.alpha, spin.beta
+        power, leftover = divmod(t, len(coins))
+        while power:
+            if power & 1:
+                v0, v1 = a * v0 + b * v1, c * v0 + d * v1
+            power >>= 1
+            if power:
+                bc, trace = b * c, a + d
+                a, b, c, d = a * a + bc, b * trace, c * trace, d * d + bc
+        if leftover:
+            a, b, c, d = _block(coins[:leftover], w)
+            v0, v1 = a * v0 + b * v1, c * v0 + d * v1
+        vec = np.empty((2, n), dtype=np.complex128)
+        vec[0], vec[1] = v0, v1
+        amp = np.zeros((2, 2 * t + 1), dtype=np.complex128)
+        amp[:, ::2] = np.fft.ifft(vec, axis=-1)[:, : t + 1]
+        yield t, amp

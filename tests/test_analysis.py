@@ -5,6 +5,7 @@ import pytest
 
 import triwalk.analysis
 from triwalk import (
+    CoinOperator,
     EmpiricalCdf,
     InitialSpin,
     LimitModel,
@@ -31,6 +32,7 @@ from triwalk import (
     symmetric_spin,
     three_period_protocol,
 )
+from triwalk.walk import _distributions
 
 
 def lattice_dist(mapping: dict[int, float], t: int | None = None) -> PositionDistribution:
@@ -125,9 +127,12 @@ def _mirror_asymmetry_over_the_union(dist):
     return float(np.max(np.abs(forward - mirrored)))
 
 
-def test_mirror_asymmetry_is_the_same_with_or_without_mirrored_positions(gap_model):
+def test_mirror_asymmetry_is_the_same_with_or_without_mirrored_positions(
+    gap_model, leftward_model
+):
     # A walk's positions mirror themselves, and so do those of the skewed
-    # distribution; padding one side with a zero-probability site does not.
+    # distribution, so they are read by index; padding one side with a
+    # zero-probability site leaves the read over the union.
     dist = distribution(evolve(gap_model.spin, canonical_protocol(gap_model.coin), 41))
     padded = PositionDistribution(
         positions=np.concatenate((dist.positions, [43])),
@@ -135,7 +140,15 @@ def test_mirror_asymmetry_is_the_same_with_or_without_mirrored_positions(gap_mod
         t=43,
     )
     skew = lattice_dist({-3: 0.25, -2: 0.25, -1: 0.25, 1: 0.0, 2: 0.0, 3: 0.25})
-    for case in (dist, padded, skew, lattice_dist({-1: 0.5, 2: 0.25, 3: 0.25})):
+    general = LimitModel(general_coin(0.4, 1.2, 2.2, 2.0), symmetric_spin())
+    walks = [
+        d
+        for model in (leftward_model, general)
+        for d in _distributions(
+            model.spin, canonical_protocol(model.coin), [0, 1, 2, 297, 298]
+        )
+    ]
+    for case in (dist, padded, skew, lattice_dist({-1: 0.5, 2: 0.25, 3: 0.25}), *walks):
         assert mirror_asymmetry(case) == _mirror_asymmetry_over_the_union(case)
     assert mirror_asymmetry(padded) == mirror_asymmetry(dist)
 
@@ -312,3 +325,39 @@ def test_ks_distance_is_the_per_point_read_bit_for_bit(pi4_model, gap_model):
                 extra_points=support_intervals(model).endpoint_values(),
             )
             assert ks_distance(dist, t, model) == per_point
+
+
+def _ks_models():
+    """Rotation coins gapped (|a| < 1/2) and gapless, general coins, and the
+    coin with |a| = 1/2, where the support halves touch: 54 models."""
+    from _oracles import random_safe_angle, random_spin
+
+    rng = np.random.default_rng(53)
+    half = math.sqrt(0.75)
+    coins = [rotation_coin(rng.uniform(1.1, 1.5)) for _ in range(10)]
+    coins += [rotation_coin(rng.uniform(0.1, 1.0)) for _ in range(10)]
+    coins += [
+        general_coin(*rng.uniform(-math.pi, math.pi, 3), random_safe_angle(rng))
+        for _ in range(30)
+    ]
+    coins += [CoinOperator(np.array([[0.5, half], [half, -0.5]], dtype=np.complex128))] * 2
+    coins += [rotation_coin(math.pi / 3)] * 2
+    return [LimitModel(coin, InitialSpin(*random_spin(rng))) for coin in coins]
+
+
+def test_ks_at_the_atoms_is_ks_with_the_support_endpoints():
+    # The limit CDF is nondecreasing, so no endpoint can raise the supremum.
+    models = _ks_models()
+    assert len(models) >= 50
+    gaps = [support_intervals(m).gap is not None for m in models]
+    assert any(gaps) and not all(gaps)
+    for model in models:
+        protocol = canonical_protocol(model.coin)
+        endpoints = support_intervals(model).endpoint_values()
+        for dist in _distributions(model.spin, protocol, [9, 30, 297, 999]):
+            with_endpoints = ks_statistic(
+                empirical_cdf(dist, dist.t),
+                lambda xs: limit_cdf(model, xs),
+                extra_points=endpoints,
+            )
+            assert ks_distance(dist, dist.t, model) == with_endpoints

@@ -1,0 +1,122 @@
+"""The CLI's JSON table bytes, pinned to ``json.dump`` in ``_oracles``."""
+
+import contextlib
+import io
+from argparse import Namespace
+from unittest import mock
+
+import numpy as np
+import pytest
+from _oracles import csv_table, json_table
+from hypothesis import example, given, settings
+from test_csv_writer import BLOCK, COINS, EXTREME_INTS, SIGNED_ZEROS, TABLES, tables
+
+from triwalk import cli
+from triwalk.cli import main
+
+
+# the config holds an empty list, as the rows of an empty table are
+def written(names, columns) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        args = Namespace(format="json", output=None)
+        assert cli._emit_table(args, "test", {"k": 1, "e": []}, names, columns) == 0
+    return out.getvalue()
+
+
+def expected(names, columns) -> str:
+    return json_table({"k": 1, "e": []}, names, columns)
+
+
+def emitted_table(monkeypatch, tmp_path, argv):
+    """Run ``argv``; return the file it wrote and the table it was written from."""
+    emitted = []
+    emit = cli._emit_table
+
+    def spy(args, command, config, names, columns):
+        emitted.append((command, config, names, columns))
+        return emit(args, command, config, names, columns)
+
+    monkeypatch.setattr(cli, "_emit_table", spy)
+    out = tmp_path / "table"
+    assert main([*argv, "-o", str(out)]) == 0
+    (table,) = emitted
+    return out.read_bytes(), table
+
+
+@pytest.mark.parametrize("argv", TABLES, ids=lambda argv: "-".join(argv[:1] + argv[-2:]))
+def test_json_bytes_equal_the_json_encoder(tmp_path, monkeypatch, argv):
+    data, (_, config, names, columns) = emitted_table(
+        monkeypatch, tmp_path, [*argv, "--format", "json"]
+    )
+    assert data == json_table(config, names, columns).encode()
+
+
+GENERAL = ["--coin", "0.3,-1.1,0.7,1.0"]
+ROTATION = ["--theta", "1.2566370614359172"]
+# every table command at one row short of a block, a block and one over
+EDGE_TABLES = [
+    *(
+        (["simulate", "--theta", "0.4", "--steps", str(s), "--every", "30"], rows)
+        for s, rows in ((478, BLOCK - 1), (479, BLOCK), (480, BLOCK + 1))
+    ),
+    *(
+        (["three-coin", *COINS, "--steps", str(s), "--every", "30"], rows)
+        for s, rows in ((478, BLOCK - 1), (479, BLOCK), (480, BLOCK + 1))
+    ),
+    (["sweep", "--theta-sweep", "0.4:2.7:5", "--steps", "818"], BLOCK - 1),
+    (["sweep", "--theta-sweep", "0.4:2.7:4", "--steps", "1023"], BLOCK),
+    (["sweep", "--theta-sweep", "0.4:2.7:17", "--steps", "240"], BLOCK + 1),
+    (["density", *GENERAL, "--grid", "4094"], BLOCK - 1),
+    (["density", *ROTATION, "--grid", "4095"], BLOCK),
+    (["density", *GENERAL, "--grid", "4097"], BLOCK + 1),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv, rows", EDGE_TABLES, ids=[f"{argv[0]}-{rows}" for argv, rows in EDGE_TABLES]
+)
+def test_table_bytes_at_block_edges(tmp_path, monkeypatch, argv, rows, fmt):
+    data, (command, config, names, columns) = emitted_table(
+        monkeypatch, tmp_path, [*argv, "--format", fmt]
+    )
+    assert columns[0].size == rows
+    if fmt == "json":
+        assert data == json_table(config, names, columns).encode()
+    else:
+        assert data == csv_table(command, config, names, columns).encode()
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_keyed_json_bytes_at_block_edges(rows):
+    rng = np.random.default_rng(rows)
+    # key runs of 1,000 rows straddle every block edge
+    keys = np.repeat(rng.normal(size=rows // 1000 + 1), 1000)[:rows]
+    columns = [keys, np.arange(rows) - rows // 2, rng.random(rows)]
+    names = ["theta", "x", "p"]
+    assert written(names, columns) == expected(names, columns)
+
+
+def test_empty_json_tables():
+    for columns in (
+        [np.array([], dtype=np.int64), np.array([])],
+        [np.array([]), np.array([], dtype=np.int64), np.array([])],
+    ):
+        names = ["k", "x", "p"][: len(columns)]
+        assert written(names, columns) == expected(names, columns)
+        assert '"rows": []\n' in written(names, columns)
+
+
+NON_FINITE = np.array([np.nan, -np.nan, np.inf, -np.inf, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@example(([SIGNED_ZEROS, EXTREME_INTS, SIGNED_ZEROS[::-1].copy()], 4))
+@example(([np.repeat(NON_FINITE, 2), np.arange(10), np.tile(NON_FINITE, 2)], 3))
+@given(tables())
+def test_json_bytes_equal_the_json_encoder_on_raw_bit_patterns(table):
+    columns, block = table
+    names = ["k", "i", "f"]
+    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+        assert written(names, columns) == expected(names, columns)

@@ -39,6 +39,7 @@ from _oracles import (
     dense_evolve,
     dense_index,
     dense_step_operator,
+    fourier_reads,
     random_safe_angle,
     random_spin,
 )
@@ -339,6 +340,44 @@ def test_fft_norm_drift_at_large_time(theta):
     state = evolve(InitialSpin(0.6, 0.8j), three_period_protocol(theta), 99_999)
     assert abs(state.norm() - 1.0) <= 1e-11
     assert np.all(state.amplitudes[:, 1::2] == 0)
+
+
+def test_fft_norm_drift_at_large_time_for_a_general_coin():
+    # This coin's columns have norms squared 1 - 1.1e-16 and 1 - 2.2e-16, a
+    # rotation coin's exactly 1, and its walk drifts about three times as
+    # fast: -1.44e-11 at T = 99,999, so validate()'s 1e-10 is reached near
+    # T = 7e5.
+    state = evolve(InitialSpin(0.6, 0.8j), canonical_protocol(COIN), 99_999)
+    assert abs(state.norm() - 1.0) <= 3e-11
+    assert np.all(state.amplitudes[:, 1::2] == 0)
+
+
+def test_fourier_reads_keep_the_bits_of_one_array_per_product():
+    # The buffered reads against the same products, each into a fresh
+    # array, compared bit for bit, so signed zeros count too.  A period
+    # whose only coin comes first keeps a and b scalars until the first
+    # squaring.
+    rng = np.random.default_rng(43)
+    times = [*range(121), *(747 * k for k in range(1, 9)), 9999, 99_999]
+    first_only = StepProtocol((COIN, identity_coin(), identity_coin()))
+    for protocol in [*PROTOCOLS, first_only]:
+        spin = InitialSpin(*random_spin(rng))
+        buffered = _fourier_reads(spin, protocol, times)
+        for (t, fast), (t_slow, slow) in zip(buffered, fourier_reads(spin, protocol, times)):
+            assert t == t_slow
+            assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64)), t
+
+
+def test_distribution_is_the_full_width_formula_bit_for_bit():
+    rng = np.random.default_rng(47)
+    for protocol in PROTOCOLS:
+        spin = InitialSpin(*random_spin(rng))
+        for t in (0, 1, 2, 3, 49, 50, 297, 298):
+            state = evolve(spin, protocol, t)
+            amp = state.amplitudes
+            full = np.sum(amp.real**2 + amp.imag**2, axis=0)[::2]
+            got = distribution(state).probabilities
+            assert np.array_equal(got.view(np.uint64), full.view(np.uint64))
 
 
 def test_period_block_matches_fourier_block():
