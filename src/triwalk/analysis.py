@@ -19,6 +19,7 @@ from .kspace import kspace_moment, limit_cdf
 from .limit import LimitModel, support_intervals
 from .walk import (
     PositionDistribution,
+    _check_order,
     _check_scale,
     _check_steps,
     _distributions,
@@ -86,11 +87,7 @@ def empirical_cdf(dist: PositionDistribution, scale: float) -> EmpiricalCdf:
     )
 
 
-def ks_statistic(
-    ecdf: EmpiricalCdf,
-    cdf: Callable[[np.ndarray], np.ndarray],
-    extra_points: Sequence[float] = (),
-) -> float:
+def ks_statistic(ecdf: EmpiricalCdf, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     """Sup-distance between a step CDF and a continuous CDF.
 
     Both one-sided limits at every jump are checked.  Between jumps the
@@ -100,21 +97,14 @@ def ks_statistic(
     the supremum (Durbin, *Distribution Theory for Tests Based on the
     Sample Distribution Function*, SIAM 1973).  Rounding keeps this, as
     ``fl(C - F)`` is monotone in ``F``.  Only past the last atom can a
-    point add ``|1 - C_last|``, a rounding residue.  Extra evaluation
-    points may still be supplied (kinks of the continuous CDF, typically
-    support endpoints).
+    point add ``|1 - C_last|``, a rounding residue.
     """
     reference = np.asarray(cdf(ecdf.values), dtype=np.float64)
     upper = ecdf.cumulative
     lower = np.concatenate(([0.0], ecdf.cumulative[:-1]))
-    worst = float(
+    return float(
         max(np.max(np.abs(upper - reference)), np.max(np.abs(lower - reference)))
     )
-    if len(extra_points):
-        pts = np.asarray(extra_points, dtype=np.float64)
-        gap = np.abs(ecdf.at(pts) - np.asarray(cdf(pts), dtype=np.float64))
-        worst = max(worst, float(np.max(gap)))
-    return worst
 
 
 def ks_distance(dist: PositionDistribution, scale: float, model: LimitModel) -> float:
@@ -174,11 +164,6 @@ def mirror_asymmetry(dist: PositionDistribution) -> float:
     return float(np.max(np.abs(forward - mirrored)))
 
 
-def _check_r_max(r_max: int) -> None:
-    if not 0 <= r_max <= 8:
-        raise ValueError("moment order must be between 0 and 8")
-
-
 @dataclass(frozen=True)
 class MomentErrors:
     """Absolute moment errors |empirical - limit| at one walk time."""
@@ -195,7 +180,7 @@ def moment_report(
     Every distinct time is read in one walk pass, in increasing order;
     the reports come in the order of ``times``.
     """
-    _check_r_max(r_max)
+    _check_order(r_max)
     reference = [kspace_moment(model, r) for r in range(r_max + 1)]
     times = [_check_steps(t) for t in times]
     if not times:
@@ -247,7 +232,7 @@ def compare_distribution(
     r_max: int = 4,
 ) -> ComparisonReport:
     """Full comparison of one distribution against the limit law of ``model``."""
-    _check_r_max(r_max)
+    _check_order(r_max)
     ks = ks_distance(dist, scale, model)
     moments = tuple(
         (r, abs(empirical_moment(dist, r, scale) - kspace_moment(model, r)))

@@ -407,7 +407,7 @@ def cmd_sweep(args) -> int:
         "format": args.format,
     }
     dists = [
-        distribution(evolve(spin, three_period_protocol(theta), args.steps))
+        _distributions(spin, three_period_protocol(theta), [args.steps])[0]
         for theta in thetas.tolist()
     ]
     columns = _dist_columns(dists, thetas)

@@ -33,7 +33,7 @@ import numpy as np
 from .coins import CoinOperator
 from .errors import DegenerateQuasimomentum
 from .limit import LimitModel
-from .walk import StepProtocol
+from .walk import StepProtocol, _check_order
 
 __all__ = [
     "EigenSystem",
@@ -242,8 +242,7 @@ def kspace_moment(model: LimitModel, r: int) -> float:
     rule is exact to rounding at every angle ``LimitModel`` accepts.
     """
     r = operator.index(r)
-    if not 0 <= r <= 8:
-        raise ValueError("moment order must be between 0 and 8")
+    _check_order(r)
     return float(_table(model).moments[r])
 
 

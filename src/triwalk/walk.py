@@ -12,15 +12,15 @@ three-step cycle ``[coin, coin, identity]``.
 fewer than 50 steps apart on average are stepped, as :func:`step` does, in
 O(T^2); sparser ones each take one inverse FFT, in O(T log T), on the
 smallest 5-smooth grid of at least ``T + 1`` momenta (Ambainis, Bach, Nayak,
-Vishwanath & Watrous, "One-dimensional quantum walks", STOC 2001).  Up to
-T = 9,999 the two agree to within 2e-13 in every amplitude, the FFT's norm
-drifts by at most about 5e-17 per step for rotation coins (5.1e-12 at
-T = 99,999) and about 1.4e-16 for a general coin, whose matrix is unitary
-only to rounding, and both leave the odd columns exactly zero.
+Vishwanath & Watrous, "One-dimensional quantum walks", STOC 2001), which
+raises the period block to its power in closed form.  Up to T = 9,999 the
+two agree to within 1e-13 in every amplitude, the FFT read is unitary to
+rounding at every T, and both leave the odd columns exactly zero.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from collections.abc import Iterator
@@ -197,51 +197,51 @@ def step(state: WalkState, coin: CoinOperator) -> WalkState:
 def _stepping(
     spin: InitialSpin, protocol: StepProtocol, steps: int
 ) -> Iterator[np.ndarray]:
-    """Yield the amplitude array after each of ``0 .. steps`` steps.
+    """Yield the occupied amplitudes after each of ``0 .. steps`` steps.
 
-    One ``(2, 2 steps + 1)`` array is updated in place; a consumer copies
-    what it keeps.  Every amplitude sits from the start in its column at
-    time ``steps``: spin-0's column never moves, and spin-1's window starts
-    at the last column and moves one even column left per step.  So after
-    ``t`` steps the state is spin-0 columns ``0 .. 2t`` and spin-1 columns
-    ``2(steps - t) .. 2 steps``, and step ``t`` applies the coin in place to
-    the ``t + 1`` even-offset pairs of those windows, with the arithmetic of
-    :func:`step`.  Identity steps and odd columns are never touched.
+    One ``(2, steps + 1)`` array is updated in place; a consumer copies
+    what it keeps.  Spin-0's amplitudes never move, and spin-1's window
+    moves one column left per step from the last, so after ``t`` steps the
+    state is spin-0 columns ``0 .. t`` and spin-1 columns ``steps - t ..
+    steps`` (column ``i`` at position ``2i - t``); step ``t`` applies its
+    coin there in place, as :func:`step` does, and skips identity coins.
     """
-    amp = np.zeros((2, 2 * steps + 1), dtype=np.complex128)
+    amp = np.zeros((2, steps + 1), dtype=np.complex128)
     amp[0, 0] = spin.alpha
-    amp[1, 2 * steps] = spin.beta
+    amp[1, steps] = spin.beta
     coins = [None if c.is_identity() else c.matrix for c in protocol.coins]
     yield amp
     for t in range(steps):
         m = coins[t % len(coins)]
         if m is not None:
-            _coin(m, amp[0, : 2 * t + 1 : 2], amp[1, 2 * (steps - t) :: 2])
+            _coin(m, amp[0, : t + 1], amp[1, steps - t :])
         yield amp
 
 
-# Quarter turns (-i)^u for u = 0..3; multiplying by one is exact.
-_QUARTER_TURNS = np.array([1, -1j, -1, 1j])
 # Reads fewer than this many steps apart on average are stepped.  For one read
 # stepping and the FFT cost the same near T = 9 (~60 us, numpy 2.4, 2-vCPU
 # VM), and stepping costs at most ~0.25 ms more up to here.
 _FOURIER_MIN_STEPS = 50
 
 
-def _roots_of_unity(n: int) -> np.ndarray:
-    """``exp(-2 pi i j / n)`` for ``j = 0 .. n-1``.
+def _roots(n: int) -> np.ndarray:
+    """``r_j = exp(-i pi j / n)`` for ``j = 0 .. 2n-1``.
 
-    Each angle is split in integer arithmetic into its nearest quarter turn
-    and a rest of at most ``pi / 4``, and only the rest goes through
-    ``np.exp``.  Multiplying ``j`` by a rounded ``2 pi / n`` instead would
-    err by a phase linear in ``j``, which a T-th power turns into a shift of
-    the walk by about ``T * 1e-16`` sites: 1.2e-12 in amplitude at
-    T = 9,999 for a pure shift, against 6e-14 this way.
+    Angles up to ``pi / 2`` are split into their nearest quarter turn and a
+    rest of at most ``pi / 4`` (a rounded ``pi / n`` times ``j`` would err
+    by a phase linear in ``j``, a shift of the walk), and only the rest goes
+    through ``np.exp``; ``r_(n-j) = -conj(r_j)``, ``r_(n+j) = -r_j``.
     """
-    quarters = 4 * np.arange(n)
-    turn = (quarters + n // 2) // n
-    rest = quarters - turn * n
-    return np.exp((-0.5j * np.pi / n) * rest) * _QUARTER_TURNS[turn % 4]
+    half = n // 2 + 1
+    quarter = (n - n // 2 + 1) // 2  # the first j nearer to -i than to 1
+    rest = 2 * np.arange(half)
+    rest[quarter:] -= n
+    roots = np.empty(2 * n, dtype=np.complex128)
+    roots[:half] = np.exp((-0.5j * np.pi / n) * rest)
+    roots[quarter:half] *= -1j
+    roots[half:n] = -roots[n - half : 0 : -1].conj()
+    np.negative(roots[:n], out=roots[n:])
+    return roots
 
 
 def _smooth_size(n: int) -> int:
@@ -285,92 +285,81 @@ def _block(coins: list, w: np.ndarray) -> tuple:
     return a, b, c, d
 
 
-def _times(x, y, out: np.ndarray):
-    """``x * y``, written to ``out`` when either factor is an array.
-
-    A product of two scalars stays a scalar: numpy's scalar arithmetic may
-    round it otherwise than its array loop, which can fuse a multiply and
-    an add.
-    """
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        return np.multiply(x, y, out=out)
-    return x * y
-
-
-def _plus(x, y, out: np.ndarray):
-    """``x + y``, written to ``out`` when either term is an array."""
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        return np.add(x, y, out=out)
-    return x + y
-
-
-def _turn(block: tuple, v0, v1, rows: tuple) -> tuple:
-    """``block @ (v0, v1)`` as ``a v0 + b v1, c v0 + d v1``, written to
-    ``rows[0]`` and ``rows[1]`` where arrays; ``rows[2:]`` are scratch."""
-    a, b, c, d = block
-    row0, row1, tmp0, tmp1 = rows
-    av, cv = _times(a, v0, tmp0), np.multiply(c, v0, out=tmp1)
-    v0 = _plus(av, _times(b, v1, row0), row0)
-    return v0, np.add(cv, np.multiply(d, v1, out=row1), out=row1)
-
-
 def _fourier_reads(
     spin: InitialSpin, protocol: StepProtocol, times: list[int]
 ) -> Iterator[tuple[int, np.ndarray]]:
     """:func:`_walk`'s reads by one inverse FFT each, in O(t log t).
 
-    From a point mass the state at time ``t`` fills the first ``t + 1``
-    even columns, so it is fixed by its transform at ``k_j = pi j / n`` for
-    any ``n >= t + 1``; each read is computed on its own, on the smallest
-    5-smooth such ``n``, where the FFT is fast, and the zero padding is
-    exact.  The spin advances by the period block raised to the whole
-    periods by repeated squaring, entry by entry (the square of ``[[a, b],
-    [c, d]]`` is ``[[a^2 + bc, b tr], [c tr, d^2 + bc]]``), and then by the
-    leftover steps.  With ``exp(-ikt)`` taken out of every step, its
-    inverse FFT is column ``2j``.
+    The ``t + 1`` occupied columns at time ``t`` are fixed by their
+    transform at ``k_j = pi j / n`` for any ``n >= t + 1``; each read takes
+    the smallest 5-smooth such ``n``, where the FFT is fast, and
+    ``r = exp(-ik)`` is taken out of every step.
 
-    One ``(8, n)`` array per read holds the spinor (the inverse FFT's
-    input), the block's four entries and two scratch rows, and every
-    squaring and spinor update writes into it, each product with its
-    operands in the order of the plain expression.  ``c`` and ``d`` are
-    arrays from the first step on (every step multiplies them by ``w``);
-    ``a``, ``b`` and the spin stay scalars until an array enters them, as
-    in the plain expression, so every value keeps its bits.
+    The period block ``B`` of ``p`` coins (:func:`_block`) is raised to the
+    ``m`` whole periods in closed form (Higham, *Functions of Matrices*,
+    SIAM 2008).  With ``exp(i phi)`` the product of the coin determinants,
+    ``det B = exp(i phi) r^(2p)``, so ``B = delta V`` with
+    ``delta = exp(i phi / 2) r^p`` and ``V = [[x, y], [-conj(y), conj(x)]]``
+    in SU(2) to rounding, ``x = cos th + i Im x``.  So ``B^m = delta^m U``,
+    ``U = [[E, Y], [-conj(Y), conj(E)]]``, ``E = cos m th + i q Im x``,
+    ``Y = q y``, ``q = sin m th / sin th``.  ``sin th = |(Im x, y)|`` comes
+    from the traceless part, so nothing cancels, and ``exp(i m th)`` is
+    ``(cos th + i sin th)^m`` by squaring, over its modulus: ``U`` is
+    unitary to rounding at every ``m``, and the norm does not drift with
+    ``t``.  ``delta^m`` is ``exp(i m phi / 2)``, taken into the spin, times
+    ``r^(pm)``, a shift by ``pm / 2`` columns: the inverse FFT's output is
+    rolled, after one factor ``r`` if ``pm`` is odd.  Leftover steps follow.
     """
     coins = [None if c.is_identity() else c.matrix for c in protocol.coins]
+    period = len(coins)
+    phi = cmath.phase(math.prod(c.a * c.d - c.b * c.c for c in protocol.coins))
     for t in times:
         n = _smooth_size(t + 1)
-        w = _roots_of_unity(n)
-        work = np.empty((8, n), dtype=np.complex128)
-        row0, row1, row_a, row_b, row_c, row_d, tmp0, tmp1 = work
-        turn_rows = (row0, row1, tmp0, tmp1)
+        roots = _roots(n)
+        w = roots[::2]  # exp(-2ik)
+        m, left = divmod(t, period)
         a, b, c, d = _block(coins, w)
-        v0, v1 = spin.alpha, spin.beta
-        power, leftover = divmod(t, len(coins))
-        while power:
-            if power & 1:
-                v0, v1 = _turn((a, b, c, d), v0, v1, turn_rows)
-            power >>= 1
-            if power:
-                bc = np.multiply(b, c, out=tmp0)
-                trace = np.add(a, d, out=tmp1)
-                a = np.add(_times(a, a, row_a), bc, out=row_a)
-                b = np.multiply(b, trace, out=row_b)
-                c = np.multiply(c, trace, out=row_c)
-                d = np.add(np.multiply(d, d, out=row_d), bc, out=row_d)
-        if leftover:
-            v0, v1 = _turn(_block(coins[:leftover], w), v0, v1, turn_rows)
-        work[0], work[1] = v0, v1  # a no-op where they are those rows
-        amp = np.zeros((2, 2 * t + 1), dtype=np.complex128)
-        amp[:, ::2] = np.fft.ifft(work[:2], axis=-1)[:, : t + 1]
-        yield t, amp
+        # 1 / (2 delta), from r^-p: V's entries are halved sums, exactly
+        half = roots[np.arange(0, -period * n, -period) % (2 * n)]
+        half *= cmath.rect(0.5, -0.5 * phi)
+        im_x = ((a - d) * half).imag
+        y = b * half - np.conj(c * half)
+        z = (a + d) * half  # cos th in its real part
+        del a, b, c, d, half  # a read at T = 10^6 holds 16 MB per (n,) array
+        sin = np.sqrt(im_x**2 + np.abs(y) ** 2)
+        z.imag = sin
+        power = z.copy() if m else np.ones(n, dtype=np.complex128)
+        for bit in bin(m)[3:]:
+            power *= power
+            if bit == "1":
+                power *= z
+        modulus = np.abs(power)
+        # Where sin th = 0, so are Im x, y and sin m th: the floor reads q = 0.
+        q = power.imag / (modulus * np.maximum(sin, 1e-300))
+        power.real /= modulus
+        np.multiply(q, im_x, out=power.imag)
+        y *= q
+        a, b = (cmath.rect(1.0, 0.5 * m * phi) * s for s in (spin.alpha, spin.beta))
+        vec = np.multiply.outer((a, b.conjugate()), power)
+        vec += np.multiply.outer((b, -a.conjugate()), y)
+        np.conj(vec[1], out=vec[1])  # U (a, b), its second entry b conj(E) - a conj(Y)
+        del z, sin, power, modulus, q, im_x, y
+        shift, odd = divmod(period * m, 2)  # p m <= t < n
+        if odd:
+            vec *= roots[:n]
+        if left:
+            a, b, c, d = _block(coins[:left], w)
+            vec[0], vec[1] = a * vec[0] + b * vec[1], c * vec[0] + d * vec[1]
+        x = np.fft.ifft(vec, axis=-1)
+        x = np.concatenate((x[:, n - shift :], x[:, : n - shift]), axis=-1)
+        yield t, x[:, : t + 1]
 
 
 def _walk(
     spin: InitialSpin, protocol: StepProtocol, times: list[int]
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(t, amplitudes)``, a new array in the layout of
-    :class:`WalkState`, at each of the strictly increasing ``times``.
+    """Yield ``(t, occupied)`` at each of the strictly increasing ``times``,
+    a new ``(2, t + 1)`` array: the even columns of :class:`WalkState`.
 
     Reads fewer than 50 steps apart on average come from one
     :func:`_stepping` pass, bit for bit folded :func:`step` calls; sparser
@@ -383,7 +372,7 @@ def _walk(
     wanted = set(times)
     for t, amp in enumerate(_stepping(spin, protocol, last)):
         if t in wanted:
-            yield t, np.stack((amp[0, : 2 * t + 1], amp[1, 2 * (last - t) :]))
+            yield t, np.stack((amp[0, : t + 1], amp[1, last - t :]))
 
 
 def _check_steps(steps: int) -> int:
@@ -398,11 +387,12 @@ def evolve(spin: InitialSpin, protocol: StepProtocol, steps: int) -> WalkState:
     """Run ``steps`` steps from a point mass at the origin with spin ``spin``.
 
     ``steps == 0`` returns the point-mass state.  The state is :func:`_walk`'s
-    one read at ``steps``: stepped below 50 steps, from 50 on one inverse
-    FFT in O(T log T) instead of O(T^2).
+    one read at ``steps``: stepped below 50 steps, else one inverse FFT.
     """
     steps = _check_steps(steps)
-    ((_, amp),) = _walk(spin, protocol, [steps])
+    ((_, occupied),) = _walk(spin, protocol, [steps])
+    amp = np.zeros((2, 2 * steps + 1), dtype=np.complex128)
+    amp[:, ::2] = occupied
     return WalkState(steps, amp)
 
 
@@ -432,22 +422,26 @@ class PositionDistribution:
         object.__setattr__(self, "probabilities", prob)
 
 
-def distribution(state: WalkState) -> PositionDistribution:
-    """Measured position distribution over the even sublattice of ``state``."""
-    # Only columns of even index (positions with x + t even) can be occupied.
-    amp = state.amplitudes[:, ::2]
+def _measured(t: int, occupied: np.ndarray) -> PositionDistribution:
+    """The distribution of the amplitudes at ``-t, -t + 2, .., t``."""
     return PositionDistribution(
-        positions=np.arange(-state.t, state.t + 1, 2),
-        probabilities=np.sum(amp.real**2 + amp.imag**2, axis=0),
-        t=state.t,
+        positions=np.arange(-t, t + 1, 2),
+        probabilities=np.sum(occupied.real**2 + occupied.imag**2, axis=0),
+        t=t,
     )
+
+
+def distribution(state: WalkState) -> PositionDistribution:
+    """Measured position distribution over the even sublattice of ``state``:
+    only columns of even index (positions with x + t even) are occupied."""
+    return _measured(state.t, state.amplitudes[:, ::2])
 
 
 def _distributions(
     spin: InitialSpin, protocol: StepProtocol, times: list[int]
 ) -> list[PositionDistribution]:
     """:func:`distribution` at each of the strictly increasing ``times``."""
-    return [distribution(WalkState(t, amp)) for t, amp in _walk(spin, protocol, times)]
+    return [_measured(t, occupied) for t, occupied in _walk(spin, protocol, times)]
 
 
 def _check_scale(scale: float) -> float:
@@ -455,6 +449,12 @@ def _check_scale(scale: float) -> float:
     if not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
     return float(scale)
+
+
+def _check_order(r: int) -> None:
+    """Refuse a moment order outside ``0 .. 8``."""
+    if not 0 <= r <= 8:
+        raise ValueError("moment order must be between 0 and 8")
 
 
 def empirical_moment(dist: PositionDistribution, r: int, scale: float) -> float:
@@ -467,8 +467,7 @@ def empirical_moment(dist: PositionDistribution, r: int, scale: float) -> float:
     it.  ``r`` is capped at 8: higher moments amplify roundoff beyond the
     tolerances this package promises.
     """
-    if not 0 <= r <= 8:
-        raise ValueError("moment order must be between 0 and 8")
+    _check_order(r)
     y = dist.positions / _check_scale(scale)
     term = dist.probabilities
     for _ in range(r):

@@ -195,31 +195,20 @@ def json_table(config: dict, names: list[str], columns) -> str:
     return out.getvalue()
 
 
-def fourier_reads(spin, protocol, times):
-    """The FFT reads of ``walk._fourier_reads`` with a fresh array for every
-    product: the slow oracle for its buffered arithmetic, which must keep
-    every bit of this one."""
-    from triwalk.walk import _block, _roots_of_unity, _smooth_size
-
-    coins = [None if c.is_identity() else c.matrix for c in protocol.coins]
-    for t in times:
-        n = _smooth_size(t + 1)
-        w = _roots_of_unity(n)
-        a, b, c, d = _block(coins, w)
-        v0, v1 = spin.alpha, spin.beta
-        power, leftover = divmod(t, len(coins))
-        while power:
-            if power & 1:
-                v0, v1 = a * v0 + b * v1, c * v0 + d * v1
-            power >>= 1
-            if power:
-                bc, trace = b * c, a + d
-                a, b, c, d = a * a + bc, b * trace, c * trace, d * d + bc
-        if leftover:
-            a, b, c, d = _block(coins[:leftover], w)
-            v0, v1 = a * v0 + b * v1, c * v0 + d * v1
-        vec = np.empty((2, n), dtype=np.complex128)
-        vec[0], vec[1] = v0, v1
-        amp = np.zeros((2, 2 * t + 1), dtype=np.complex128)
-        amp[:, ::2] = np.fft.ifft(vec, axis=-1)[:, : t + 1]
-        yield t, amp
+def ks_with_points(ecdf, cdf, points):
+    """KS distance between a step CDF and a continuous CDF, read at every
+    atom from both sides and at the extra ``points`` (kinks of the
+    continuous CDF, typically support endpoints): the endpoint-inclusive
+    form that ``analysis.ks_statistic``'s atoms-only read must equal."""
+    reference = np.asarray(cdf(ecdf.values), dtype=np.float64)
+    upper = ecdf.cumulative
+    lower = np.concatenate(([0.0], ecdf.cumulative[:-1]))
+    pts = np.asarray(points, dtype=np.float64)
+    at_points = np.abs(ecdf.at(pts) - np.asarray(cdf(pts), dtype=np.float64))
+    return float(
+        max(
+            np.max(np.abs(upper - reference)),
+            np.max(np.abs(lower - reference)),
+            np.max(at_points),
+        )
+    )

@@ -154,15 +154,15 @@ def test_mirror_asymmetry_is_the_same_with_or_without_mirrored_positions(
 
 
 def test_ks_distance_is_exact(pi4_model, gap_model):
-    from _oracles import cdf_by_quadrature
+    from _oracles import cdf_by_quadrature, ks_with_points
 
     for model in (pi4_model, gap_model):
         dist = distribution(evolve(model.spin, canonical_protocol(model.coin), 99))
         ecdf = empirical_cdf(dist, 99)
-        exact = ks_statistic(
+        exact = ks_with_points(
             ecdf,
             lambda xs: cdf_by_quadrature(model, xs),
-            extra_points=support_intervals(model).endpoint_values(),
+            support_intervals(model).endpoint_values(),
         )
         assert abs(ks_distance(dist, 99, model) - exact) <= 1e-9
 
@@ -316,13 +316,15 @@ def test_scale_must_be_positive_and_finite(gap_model, scale):
 
 
 def test_ks_distance_is_the_per_point_read_bit_for_bit(pi4_model, gap_model):
+    from _oracles import ks_with_points
+
     for model in (pi4_model, gap_model):
         for t in (98, 99):
             dist = distribution(evolve(model.spin, canonical_protocol(model.coin), t))
-            per_point = ks_statistic(
+            per_point = ks_with_points(
                 empirical_cdf(dist, t),
                 lambda xs: np.array([limit_cdf(model, float(x)) for x in xs]),
-                extra_points=support_intervals(model).endpoint_values(),
+                support_intervals(model).endpoint_values(),
             )
             assert ks_distance(dist, t, model) == per_point
 
@@ -347,6 +349,8 @@ def _ks_models():
 
 def test_ks_at_the_atoms_is_ks_with_the_support_endpoints():
     # The limit CDF is nondecreasing, so no endpoint can raise the supremum.
+    from _oracles import ks_with_points
+
     models = _ks_models()
     assert len(models) >= 50
     gaps = [support_intervals(m).gap is not None for m in models]
@@ -355,9 +359,7 @@ def test_ks_at_the_atoms_is_ks_with_the_support_endpoints():
         protocol = canonical_protocol(model.coin)
         endpoints = support_intervals(model).endpoint_values()
         for dist in _distributions(model.spin, protocol, [9, 30, 297, 999]):
-            with_endpoints = ks_statistic(
-                empirical_cdf(dist, dist.t),
-                lambda xs: limit_cdf(model, xs),
-                extra_points=endpoints,
+            with_endpoints = ks_with_points(
+                empirical_cdf(dist, dist.t), lambda xs: limit_cdf(model, xs), endpoints
             )
             assert ks_distance(dist, dist.t, model) == with_endpoints
