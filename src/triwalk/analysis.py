@@ -87,6 +87,14 @@ def empirical_cdf(dist: PositionDistribution, scale: float) -> EmpiricalCdf:
     )
 
 
+def _sup_distance(cum: np.ndarray, reference: np.ndarray) -> float:
+    """``max |C - F|`` over both one-sided limits at every atom: the step CDF
+    ``cum`` after each atom and the one before it, ``0`` before the first."""
+    upper = np.max(np.abs(cum - reference))
+    lower = np.max(np.abs(cum[:-1] - reference[1:]), initial=abs(reference[0]))
+    return float(max(upper, lower))
+
+
 def ks_statistic(ecdf: EmpiricalCdf, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     """Sup-distance between a step CDF and a continuous CDF.
 
@@ -100,11 +108,7 @@ def ks_statistic(ecdf: EmpiricalCdf, cdf: Callable[[np.ndarray], np.ndarray]) ->
     point add ``|1 - C_last|``, a rounding residue.
     """
     reference = np.asarray(cdf(ecdf.values), dtype=np.float64)
-    upper = ecdf.cumulative
-    lower = np.concatenate(([0.0], ecdf.cumulative[:-1]))
-    return float(
-        max(np.max(np.abs(upper - reference)), np.max(np.abs(lower - reference)))
-    )
+    return _sup_distance(ecdf.cumulative, reference)
 
 
 def ks_distance(dist: PositionDistribution, scale: float, model: LimitModel) -> float:
@@ -115,10 +119,12 @@ def ks_distance(dist: PositionDistribution, scale: float, model: LimitModel) -> 
     between two atoms can raise the supremum (see :func:`ks_statistic`).
     An endpoint past the last atom could add only ``|1 - C_last|``, a
     rounding residue, and at ``scale = t`` the last atom is ``1``, past
-    every endpoint.
+    every endpoint.  ``dist`` is already checked, so the cumulative sum of
+    its probabilities is compared with the limit CDF directly, with the
+    bits of ``ks_statistic(empirical_cdf(dist, scale), ...)``.
     """
-    ecdf = empirical_cdf(dist, scale)
-    return ks_statistic(ecdf, lambda xs: limit_cdf(model, xs))
+    reference = limit_cdf(model, dist.positions / _check_scale(scale))
+    return _sup_distance(np.cumsum(dist.probabilities), reference)
 
 
 def gap_mass(

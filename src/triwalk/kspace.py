@@ -101,8 +101,7 @@ class _tables:
     computed in the cancellation-free form ``b^2 + cross^2``, ``num`` the
     group-velocity numerator and ``h`` the velocities, shape
     ``(2, *k.shape)``, branch-major.  Velocities need only ``sin k``, so
-    ``cos k`` and ``a`` are computed on first use.  Unpacks as
-    ``(a, b, disc, num)``.
+    ``a`` is computed on first use.  Unpacks as ``(a, b, disc, num)``.
 
     Triple angles come from ``sin k`` and ``cos k``: ``sin(3.0 * k)`` would
     carry the ~1e-15 rounding of ``3.0 * k`` near ``k = +-pi``, where
@@ -124,12 +123,8 @@ class _tables:
         np.negative(self.h[1], out=self.h[0])
 
     @cached_property
-    def cos_k(self) -> np.ndarray:
-        return np.cos(self.k)
-
-    @cached_property
     def a(self) -> np.ndarray:
-        cos_k = self.cos_k
+        cos_k = np.cos(self.k)
         cos_3k = cos_k * (4.0 * cos_k * cos_k - 3.0)
         return self.c * self.c * cos_3k + self.s * self.s * cos_k
 
@@ -142,31 +137,26 @@ def _velocities(c: float, s: float, k: np.ndarray) -> np.ndarray:
     return _tables(c, s, k).h
 
 
-def _branches(
+def _folded(
     c: float, s: float, k: np.ndarray, alpha: complex, beta: complex
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Velocities and overlap weights ``|<branch vector | spin>|^2``.
+    """Velocity ``g`` of branch 1 and folded weight ``u`` at ``k``, one
+    :func:`_tables` pass.
 
-    Both have shape ``(2, *k.shape)`` and come from one :func:`_tables`
-    pass, in real arithmetic.  The branch of sign ``-1`` (index 0) or
-    ``+1`` (index 1) projects as ``(1 +- n.sigma) / 2``, where ``n =
-    (-cross cos 2k, cross sin 2k, -b) / root`` is a unit vector, so its
-    weight is ``(|alpha|^2 + |beta|^2) / 2 +- t``, with ``t`` half the
-    spin's Bloch vector along ``n``.  Nothing is divided by a difference
-    that cancels, and the two weights at each ``k`` sum to ``|alpha|^2 +
-    |beta|^2`` within rounding.  This is the one pass that the CDF table
-    makes, for the CDF and the moments alike.
+    Branch index 0 or 1 weighs ``N / 2 -+ t``, ``N = |alpha|^2 +
+    |beta|^2``, with ``t = (b D - cross Re(g e^{-2ik})) / root`` half the
+    spin's Bloch vector along the branch's, ``D = (|beta|^2 - |alpha|^2) /
+    2``, ``g = alpha conj(beta)``.  ``b`` and ``cross`` are odd in ``k`` and
+    even about ``pi/2``, so in ``u = w_1(k) + w_0(-k) + w_1(pi - k) + w_0(k
+    - pi)`` the ``b`` terms add and the phases pair into ``2 Re g cos 2k``:
+    ``u = 2N + 4 (b D - cross Re(g) cos 2k) / root``.
     """
     t = _tables(c, s, k)
     up, down = abs(alpha) ** 2, abs(beta) ** 2
-    g = alpha * beta.conjugate()
-    # Re(g e^{-2ik}) = Re g + 2 sin k (Im g cos k - Re g sin k)
-    phase = g.real + 2.0 * t.sin_k * (g.imag * t.cos_k - g.real * t.sin_k)
-    along = (t.b * (0.5 * (down - up)) - t.cross * phase) / t.root
-    weights = np.empty((2, *k.shape))
-    np.subtract(0.5 * (up + down), along, out=weights[0])
-    np.add(0.5 * (up + down), along, out=weights[1])
-    return t.h, weights
+    cos_2k = 1.0 - 2.0 * t.sin_k * t.sin_k
+    re_g = (alpha * beta.conjugate()).real
+    along = t.b * (0.5 * (down - up)) - t.cross * (re_g * cos_2k)
+    return t.h[1], 2.0 * (up + down) + 4.0 * along / t.root
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,11 +215,6 @@ def group_velocity(coin: CoinOperator, k: float, branch: int) -> float:
     c, s = _rotation_entries(coin)
     _check_quasimomentum(k)
     return float(_velocities(c, s, np.array([float(k)]))[branch - 1, 0])
-
-
-def _reduced(model: LimitModel) -> tuple[float, float, complex, complex]:
-    alpha, beta = model.effective_spin
-    return model.a_abs, model.b_abs, alpha, beta
 
 
 def kspace_moment(model: LimitModel, r: int) -> float:
@@ -312,9 +297,10 @@ class _LimitCdf:
     the momenta moving at most ``x`` are ``y >= y*(x)`` on the ``+g`` pieces
     and ``y <= y*(-x)`` on the ``-g`` ones, ``y*`` a root of a quadratic.
     The ``+g`` pieces fold onto ``[0, pi/2]`` as ``u(k) = w_1(k) + w_0(-k)
-    + w_1(pi - k) + w_0(k - pi)``, the ``-g`` ones as ``4N - u`` with ``N =
-    |alpha|^2 + |beta|^2``.  With ``Phi(kappa) = (1/2pi) int_0^kappa u`` and
-    ``kappa(x) = arcsin sqrt(y*(x))``:
+    + w_1(pi - k) + w_0(k - pi)``, one closed form in ``k`` (:func:`_folded`),
+    the ``-g`` ones as ``4N - u`` with ``N = |alpha|^2 + |beta|^2``.  With
+    ``Phi(kappa) = (1/2pi) int_0^kappa u`` and ``kappa(x) = arcsin
+    sqrt(y*(x))``:
 
         F(x) = Phi(pi/2) - Phi(kappa(x)) + 2N kappa(-x) / pi - Phi(kappa(-x)).
 
@@ -324,11 +310,16 @@ class _LimitCdf:
     (``k0 = pi/2``, ``width = 1`` without a turn), as the exact integral of
     the interpolant of its rate at 8 Gauss-Legendre nodes per panel.  The
     same nodes give the moments ``m_r = (1/2pi) int_0^{pi/2} [g^r u +
-    (-g)^r (4N - u)] dk`` of orders 0..8, as ``moments``.
+    (-g)^r (4N - u)] dk``, orders 0..8, as ``moments``: ``4N g^r`` at even
+    ``r``, ``(2u - 4N) g^r`` at odd, from one table of running products
+    ``g^r`` weighted by parity.
+    Each panel's nodes are summed first, then the panels, pairwise: a flat
+    sum over all nodes, or a running one over the panels, moves the moments
+    by up to 1.5e-15 at small angles.
     """
 
     def __init__(self, model: LimitModel) -> None:
-        c, s, alpha, beta = _reduced(model)
+        c, s, (alpha, beta) = model.a_abs, model.b_abs, model.effective_spin
         c2 = c * c
         self.c2, self.s = c2, s
         self.hull = math.sqrt(1.0 + 8.0 * c2) / 3.0
@@ -347,22 +338,18 @@ class _LimitCdf:
         xi = self.xi0 + self.step * (
             np.arange(self.panels)[:, None] + 0.5 * (nodes + 1.0)
         )
-        k = self.k0 + self.width * np.sinh(xi)
-        folds = np.stack((k, -k, math.pi - k, k - math.pi))
-        h, w = _branches(c, s, folds, alpha, beta)
-        u = w[1, 0] + w[0, 1] + w[1, 2] + w[0, 3]
+        g, u = _folded(c, s, self.k0 + self.width * np.sinh(xi), alpha, beta)
         # dk/dt / 2pi on each panel, t in [-1, 1] its local coordinate
         jac = self.width * np.cosh(xi) * (self.step / (4.0 * math.pi))
         rate = u * jac  # dPhi/dt
-        # The moments of the docstring, g = h[1, 0] the velocity on the +g fold; a
-        # running product stands in for g**r.
-        g, plus, minus = h[1, 0], rate.copy(), (4.0 * self.norm - u) * jac
-        self.moments = np.empty(9)
-        for r in range(9):
-            if r:
-                plus *= g
-                minus *= -g
-            self.moments[r] = np.sum((plus + minus) @ weights)
+        # g^r, a running product as in np.vander, but order-major
+        powers = np.empty((9, *g.shape))
+        powers[0], powers[1:] = 1.0, g
+        np.multiply.accumulate(powers, out=powers)
+        powers[::2] *= 4.0 * self.norm * jac
+        powers[1::2] *= (2.0 * u - 4.0 * self.norm) * jac
+        # each panel's nodes, then the panels, pairwise
+        self.moments = np.sum(powers @ weights, axis=1)
         self.coef = rate @ integral.T
         start = np.cumsum(rate @ weights)
         self.coef[1:, -1] += start[:-1]

@@ -413,22 +413,29 @@ class PositionDistribution:
             raise ValueError("positions must be strictly increasing")
         if np.any(prob < 0.0):
             raise ValueError("probabilities must be nonnegative")
-        total = float(prob.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        pos.setflags(write=False)
-        prob.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "probabilities", prob)
+        _settle(self, pos, prob)
+
+
+def _settle(dist: PositionDistribution, pos: np.ndarray, prob: np.ndarray) -> None:
+    """Check that ``prob`` sums to 1; set both arrays, read-only, on ``dist``."""
+    total = float(prob.sum())
+    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1")
+    pos.setflags(write=False)
+    prob.setflags(write=False)
+    object.__setattr__(dist, "positions", pos)
+    object.__setattr__(dist, "probabilities", prob)
 
 
 def _measured(t: int, occupied: np.ndarray) -> PositionDistribution:
-    """The distribution of the amplitudes at ``-t, -t + 2, .., t``."""
-    return PositionDistribution(
-        positions=np.arange(-t, t + 1, 2),
-        probabilities=np.sum(occupied.real**2 + occupied.imag**2, axis=0),
-        t=t,
-    )
+    """The distribution of the amplitudes at ``-t, -t + 2, .., t``.  Its
+    positions (an ``arange``) and probabilities (sums of squares) pass the
+    constructor's other checks by construction; a drifted norm does not."""
+    dist = object.__new__(PositionDistribution)
+    object.__setattr__(dist, "t", t)
+    prob = np.sum(occupied.real**2 + occupied.imag**2, axis=0)
+    _settle(dist, np.arange(-t, t + 1, 2, dtype=np.int64), prob)
+    return dist
 
 
 def distribution(state: WalkState) -> PositionDistribution:

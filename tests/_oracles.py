@@ -139,6 +139,41 @@ def cdf_by_quadrature(model, points) -> np.ndarray:
     return out
 
 
+def branches(c, s, k, alpha, beta):
+    """Velocities and overlap weights ``|<branch vector | spin>|^2``.
+
+    Both have shape ``(2, *k.shape)``, branch-major, from one
+    ``kspace._tables`` pass in real arithmetic.  The branch of sign ``-1``
+    (index 0) or ``+1`` (index 1) projects as ``(1 +- n.sigma) / 2``, where
+    ``n = (-cross cos 2k, cross sin 2k, -b) / root`` is a unit vector, so
+    its weight is ``(|alpha|^2 + |beta|^2) / 2 +- t``, with ``t`` half the
+    spin's Bloch vector along ``n``.  The four-fold oracle for
+    ``kspace._folded``: the folded weight is the sum of these weights over
+    the four folds ``k, -k, pi - k, k - pi``.
+    """
+    from triwalk import kspace
+
+    t = kspace._tables(c, s, k)
+    up, down = abs(alpha) ** 2, abs(beta) ** 2
+    g = alpha * beta.conjugate()
+    # Re(g e^{-2ik}) = Re g + 2 sin k (Im g cos k - Re g sin k)
+    phase = g.real + 2.0 * t.sin_k * (g.imag * np.cos(k) - g.real * t.sin_k)
+    along = (t.b * (0.5 * (down - up)) - t.cross * phase) / t.root
+    weights = np.empty((2, *k.shape))
+    np.subtract(0.5 * (up + down), along, out=weights[0])
+    np.add(0.5 * (up + down), along, out=weights[1])
+    return t.h, weights
+
+
+def four_fold(c, s, k, alpha, beta):
+    """Velocity on the ``+g`` fold and ``u = w_1(k) + w_0(-k) + w_1(pi - k)
+    + w_0(k - pi)``, the folded weight as a sum of four branch passes."""
+    import math
+
+    h, w = branches(c, s, np.stack((k, -k, math.pi - k, k - math.pi)), alpha, beta)
+    return h[1, 0], w[1, 0] + w[0, 1] + w[1, 2] + w[0, 3]
+
+
 def moment_table(model, cells: int) -> np.ndarray:
     """Moments of orders 0..8 by the midpoint rule on ``cells`` momentum cells.
 
@@ -151,11 +186,9 @@ def moment_table(model, cells: int) -> np.ndarray:
     """
     import math
 
-    from triwalk import kspace
-
     alpha, beta = model.effective_spin
     k = -math.pi + (np.arange(cells) + 0.5) * (2.0 * math.pi / cells)
-    h, hw = kspace._branches(model.a_abs, model.b_abs, k, alpha, beta)
+    h, hw = branches(model.a_abs, model.b_abs, k, alpha, beta)
     table = np.empty(9)
     for r in range(9):
         if r:

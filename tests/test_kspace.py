@@ -27,7 +27,13 @@ from triwalk import (
 
 from triwalk import kspace
 
-from _oracles import cdf_by_quadrature, moment_table, random_safe_angle
+from _oracles import (
+    branches,
+    cdf_by_quadrature,
+    four_fold,
+    moment_table,
+    random_safe_angle,
+)
 
 
 def open_grid(n):
@@ -183,7 +189,7 @@ def test_one_pass_moments_match_per_order_formula():
     cells = 1 << 16
     for model in _moment_models():
         alpha, beta = model.effective_spin
-        h, w = kspace._branches(model.a_abs, model.b_abs, open_grid(cells), alpha, beta)
+        h, w = branches(model.a_abs, model.b_abs, open_grid(cells), alpha, beta)
         table = moment_table(model, cells)
         for r in range(9):
             assert abs(table[r] - np.sum(h**r * w) / cells) <= 1e-14
@@ -226,6 +232,62 @@ def test_moment_values_do_not_depend_on_call_order():
         assert ascending[r] == descending[r]
 
 
+def _fold_models():
+    """Narrow and wide turns and two general coins, each with pure spins and
+    mixed ones whose ``Re(alpha conj(beta))`` is and is not zero."""
+    spins = (
+        InitialSpin(1.0, 0.0),
+        InitialSpin(0.0, 1.0),
+        InitialSpin(0.6, 0.8),
+        InitialSpin(0.6, 0.8j),
+        InitialSpin(complex(0.48, 0.36), complex(0.0, -0.8)),
+    )
+    thetas = (1e-4, 0.05, math.pi / 4, 1.5706, 3.1405)
+    coins = [rotation_coin(theta) for theta in thetas]
+    coins += [general_coin(0.3, 0.1, 0.9, 1.0), general_coin(-1.1, 2.0, 0.4, 0.6)]
+    return [LimitModel(coin, spin) for coin in coins for spin in spins]
+
+
+def _table_nodes(table):
+    """The table's quadrature nodes ``k``, shape ``(panels, 8)``, and
+    ``dk/dt / 2pi`` at them, laid out as :class:`kspace._LimitCdf` does."""
+    nodes, _, _ = kspace._panel_rule()
+    xi = table.xi0 + table.step * (
+        np.arange(table.panels)[:, None] + 0.5 * (nodes + 1.0)
+    )
+    jac = table.width * np.cosh(xi) * (table.step / (4.0 * math.pi))
+    return table.k0 + table.width * np.sinh(xi), jac
+
+
+def test_one_fold_weight_is_the_four_fold_sum():
+    for model in _fold_models():
+        table = kspace._LimitCdf(model)
+        c, s, (alpha, beta) = model.a_abs, model.b_abs, model.effective_spin
+        k, jac = _table_nodes(table)
+        g, u = kspace._folded(c, s, k, alpha, beta)
+        four_g, four_u = four_fold(c, s, k, alpha, beta)
+        assert np.array_equal(g, four_g)
+        # At a narrow turn u carries the rounding of b's cancellation over
+        # root, ~1e-12 at 1e-4 in either form, against mpmath too; what the
+        # table integrates is u dk, and that agrees to ~1e-17.
+        assert np.max(np.abs(u * jac - four_u * jac)) <= 1e-16
+
+
+def test_table_moments_are_the_four_fold_moments():
+    # The parent's integrand, g^r u + (-g)^r (4N - u) by running products
+    # of the four-fold u, against the one Vandermonde product of the table.
+    _, weights, _ = kspace._panel_rule()
+    for model in _fold_models():
+        table = kspace._LimitCdf(model)
+        c, s, (alpha, beta) = model.a_abs, model.b_abs, model.effective_spin
+        k, jac = _table_nodes(table)
+        g, u = four_fold(c, s, k, alpha, beta)
+        plus, minus = u * jac, (4.0 * table.norm - u) * jac
+        for r in range(9):
+            assert abs(table.moments[r] - np.sum((plus + minus) @ weights)) <= 1e-15
+            plus, minus = plus * g, minus * -g
+
+
 def test_branch_weights_sum_to_spin_norm():
     spin = InitialSpin(0.6, 0.8j)
     thetas = (1.5706, 0.01, math.pi / 4)
@@ -234,10 +296,14 @@ def test_branch_weights_sum_to_spin_norm():
         LimitModel(general_coin(0.3, 0.1, 0.9, 1.0), spin),
     ]
     for model in models:
-        c, s, alpha, beta = kspace._reduced(model)
-        _, w = kspace._branches(c, s, open_grid(1 << 16), alpha, beta)
+        c, s, (alpha, beta) = model.a_abs, model.b_abs, model.effective_spin
+        _, w = branches(c, s, open_grid(1 << 16), alpha, beta)
         norm = abs(alpha) ** 2 + abs(beta) ** 2
         assert np.max(np.abs(w[0] + w[1] - norm)) <= 1e-15
+        # the table's folded weight sums four weights, each in [0, norm]
+        k, _ = _table_nodes(kspace._LimitCdf(model))
+        _, u = kspace._folded(c, s, k, alpha, beta)
+        assert np.min(u) >= -1e-15 and np.max(u) <= 4.0 * norm + 1e-15
 
 
 def test_eigen_system_is_accurate_at_a_near_trivial_angle():

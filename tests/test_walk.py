@@ -29,6 +29,7 @@ from triwalk.walk import (
     _block,
     _distributions,
     _fourier_reads,
+    _measured,
     _smooth_size,
     _stepping,
     _walk,
@@ -516,3 +517,36 @@ def test_position_distribution_validation():
         PositionDistribution(
             positions=np.array([-1, 1]), probabilities=np.array([-0.1, 1.1]), t=1
         )
+
+
+def test_measured_distribution_is_the_public_constructor_bit_for_bit():
+    # _measured skips the checks that hold by construction, not the sum to 1.
+    protocol = canonical_protocol(general_coin(0.4, 1.2, 2.2, 2.0))
+    for t in (0, 1, 2, 3, 49, 50, 297, 298):
+        occupied = evolve(InitialSpin(0.6, 0.8j), protocol, t).amplitudes[:, ::2]
+        trusted = _measured(t, occupied)
+        public = PositionDistribution(
+            positions=np.arange(-t, t + 1, 2),
+            probabilities=np.sum(occupied.real**2 + occupied.imag**2, axis=0),
+            t=t,
+        )
+        assert type(trusted) is PositionDistribution and trusted.t == public.t == t
+        for name in ("positions", "probabilities"):
+            ours, theirs = getattr(trusted, name), getattr(public, name)
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
+            assert not ours.flags.writeable
+    drifted = occupied * 1.001
+    messages = []
+    for build in (
+        lambda: _measured(t, drifted),
+        lambda: PositionDistribution(
+            positions=np.arange(-t, t + 1, 2),
+            probabilities=np.sum(drifted.real**2 + drifted.imag**2, axis=0),
+            t=t,
+        ),
+    ):
+        with pytest.raises(ValueError, match="probabilities sum to") as info:
+            build()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
