@@ -3,133 +3,27 @@
 Exact state-vector simulation, the closed-form long-time law of the
 three-step cycle ``[coin, coin, closing]``, and diagnostics quantifying
 how fast the finite-time walk converges to it.
+
+Each module's ``__all__`` is its public API; the package re-exports all
+of them.
 """
 
-from .analysis import (
-    ComparisonReport,
-    EmpiricalCdf,
-    MomentErrors,
-    compare_distribution,
-    compare_walk,
-    empirical_cdf,
-    gap_mass,
-    ks_distance,
-    ks_statistic,
-    mirror_asymmetry,
-    moment_report,
-    offphase_compare,
-)
-from .coins import (
-    CoinOperator,
-    closing_coin,
-    general_coin,
-    identity_coin,
-    rotation_coin,
-)
-from .errors import (
-    DegenerateCoin,
-    DegenerateQuasimomentum,
-    EndpointSingularity,
-    ForbiddenAngle,
-    NoGap,
-    OutsideSupportHull,
-    WalkError,
-)
-from .kspace import (
-    BinnedDensity,
-    EigenSystem,
-    eigen_system,
-    fourier_block,
-    group_velocity,
-    kspace_moment,
-    limit_cdf,
-    pushforward_density,
-)
-from .limit import (
-    LimitModel,
-    SupportIntervals,
-    envelope_density,
-    limit_density,
-    radicand,
-    spin_weight,
-    support_intervals,
-)
-from .walk import (
-    InitialSpin,
-    PositionDistribution,
-    StepProtocol,
-    WalkState,
-    apply_coin,
-    canonical_protocol,
-    distribution,
-    empirical_moment,
-    evolve,
-    step,
-    symmetric_spin,
-    three_coin_protocol,
-    three_period_protocol,
-)
+from . import analysis, coins, errors, kspace, limit, walk
+from .analysis import *  # noqa: F403
+from .coins import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .kspace import *  # noqa: F403
+from .limit import *  # noqa: F403
+from .walk import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # coins
-    "CoinOperator",
-    "rotation_coin",
-    "general_coin",
-    "identity_coin",
-    "closing_coin",
-    # walk
-    "InitialSpin",
-    "StepProtocol",
-    "WalkState",
-    "PositionDistribution",
-    "symmetric_spin",
-    "three_period_protocol",
-    "canonical_protocol",
-    "three_coin_protocol",
-    "apply_coin",
-    "step",
-    "evolve",
-    "distribution",
-    "empirical_moment",
-    # limit
-    "LimitModel",
-    "SupportIntervals",
-    "support_intervals",
-    "radicand",
-    "spin_weight",
-    "envelope_density",
-    "limit_density",
-    # momentum space
-    "EigenSystem",
-    "BinnedDensity",
-    "fourier_block",
-    "eigen_system",
-    "group_velocity",
-    "kspace_moment",
-    "pushforward_density",
-    "limit_cdf",
-    # analysis
-    "EmpiricalCdf",
-    "ComparisonReport",
-    "MomentErrors",
-    "empirical_cdf",
-    "ks_statistic",
-    "ks_distance",
-    "gap_mass",
-    "mirror_asymmetry",
-    "moment_report",
-    "compare_distribution",
-    "compare_walk",
-    "offphase_compare",
-    # errors
-    "WalkError",
-    "ForbiddenAngle",
-    "DegenerateCoin",
-    "OutsideSupportHull",
-    "EndpointSingularity",
-    "DegenerateQuasimomentum",
-    "NoGap",
+    *coins.__all__,
+    *walk.__all__,
+    *limit.__all__,
+    *kspace.__all__,
+    *analysis.__all__,
+    *errors.__all__,
 ]

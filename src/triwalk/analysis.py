@@ -23,9 +23,9 @@ from .walk import (
     _check_scale,
     _check_steps,
     _distributions,
+    _moment_terms,
     canonical_protocol,
     distribution,
-    empirical_moment,
     evolve,
 )
 
@@ -199,8 +199,8 @@ def moment_report(
         MomentErrors(
             time=t,
             errors=tuple(
-                (r, abs(empirical_moment(dists[t], r, t) - reference[r]))
-                for r in range(r_max + 1)
+                (r, abs(float(np.sum(term)) - reference[r]))
+                for r, term in enumerate(_moment_terms(dists[t], r_max, t))
             ),
         )
         for t in times
@@ -241,8 +241,8 @@ def compare_distribution(
     _check_order(r_max)
     ks = ks_distance(dist, scale, model)
     moments = tuple(
-        (r, abs(empirical_moment(dist, r, scale) - kspace_moment(model, r)))
-        for r in range(r_max + 1)
+        (r, abs(float(np.sum(term)) - kspace_moment(model, r)))
+        for r, term in enumerate(_moment_terms(dist, r_max, scale))
     )
     try:
         gap = gap_mass(dist, scale, model)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .coins import CoinOperator
 from .errors import DegenerateQuasimomentum
-from .limit import LimitModel
+from .limit import LimitModel, _pointwise
 from .walk import StepProtocol, _check_order
 
 __all__ = [
@@ -384,7 +384,8 @@ class _LimitCdf:
         m = 1.0 + 8.0 * c2
         b = m - 3.0 * (1.0 + 2.0 * c2) * sq + ar
         y_up = 3.0 * m * (self.hull - a) * (self.hull + a) / (4.0 * c2 * b)
-        y_down = b / (12.0 * c2 * one)
+        den = 12.0 * c2 * one
+        y_down = b / den
         # 12c^2 (1 - a^2) (1 - y*(+-a)) = A +- a R, whose product is
         # 9 (1 - a^2) (low^2 - a^2): the factor without a zero on (0, hull)
         # is formed directly, the other from the product.  At low = 0 both
@@ -397,7 +398,7 @@ class _LimitCdf:
             out=np.zeros_like(a),
             where=direct != 0.0,
         )
-        direct /= 12.0 * c2 * one
+        direct /= den
         q_up, q_down = (direct, other) if sign > 0.0 else (other, direct)
         y = np.concatenate((y_up, y_down))
         q = np.concatenate((q_up, q_down))
@@ -451,6 +452,7 @@ def _check_cells(cells: int) -> None:
         raise ValueError("cells must be an even number, at least 16")
 
 
+@_pointwise
 def limit_cdf(model: LimitModel, x, *, refine: bool = True) -> float | np.ndarray:
     """Cumulative limit law ``P(limit <= x)``, evaluated in momentum space.
 
@@ -467,6 +469,4 @@ def limit_cdf(model: LimitModel, x, *, refine: bool = True) -> float | np.ndarra
     bits as a read of each point.  ``refine`` is accepted and ignored: there
     is one CDF.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    out = _table(model)(arr.ravel())
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return _table(model)(x)

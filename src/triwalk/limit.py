@@ -22,6 +22,7 @@ the coin with the initial spin and caches the derived quantities.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -124,11 +125,20 @@ def support_intervals(model: LimitModel) -> SupportIntervals:
     return SupportIntervals(positive=(lo, hi), negative=(-hi, -lo))
 
 
-def _as_array(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=np.float64)
-    return np.atleast_1d(arr), arr.ndim == 0
+def _pointwise(fn):
+    """``fn(model, x, **kw)`` on a flat float array, read at any array-like
+    ``x``: a float at a scalar, else an array of ``x``'s shape."""
+
+    @functools.wraps(fn)
+    def read(model, x, **kwargs):
+        arr = np.asarray(x, dtype=np.float64)
+        out = fn(model, arr.ravel(), **kwargs)
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+    return read
 
 
+@_pointwise
 def radicand(model: LimitModel, x) -> float | np.ndarray:
     """Common square-root argument ``1 + 8q - 9q x^2`` of the limit formulas.
 
@@ -136,17 +146,16 @@ def radicand(model: LimitModel, x) -> float | np.ndarray:
     are clamped to zero; values below ``-1e-9`` mean the point is outside
     the reach of the formulas and raise :class:`OutsideSupportHull`.
     """
-    xs, scalar = _as_array(x)
     q = model.a_abs**2
-    d = 1.0 + 8.0 * q - 9.0 * q * xs**2
+    d = 1.0 + 8.0 * q - 9.0 * q * x**2
     if np.any(d < -1e-9):
         raise OutsideSupportHull(
             "point lies beyond the reach of the limit-law formulas"
         )
-    d = np.where(d < 0.0, 0.0, d)
-    return float(d[0]) if scalar else d
+    return np.where(d < 0.0, 0.0, d)
 
 
+@_pointwise
 def spin_weight(model: LimitModel, x) -> float | np.ndarray:
     """Initial-spin correction weight multiplying the symmetric envelope.
 
@@ -155,7 +164,6 @@ def spin_weight(model: LimitModel, x) -> float | np.ndarray:
     symmetric spin ``(1/sqrt(2), i/sqrt(2))``.  Nonlinear in ``x`` through
     the shared radicand.
     """
-    xs, scalar = _as_array(x)
     a, b = model.coin.a, model.coin.b
     alpha, beta = model.spin.alpha, model.spin.beta
     q = model.a_abs**2
@@ -166,8 +174,7 @@ def spin_weight(model: LimitModel, x) -> float | np.ndarray:
     curve = (q * model.b_abs**2 * delta - (1.0 + 2.0 * q) * cross) / (
         q * model.b_abs * denom
     )
-    out = slope * xs + curve * np.sqrt(radicand(model, xs))
-    return float(out[0]) if scalar else out
+    return slope * x + curve * np.sqrt(radicand(model, x))
 
 
 def _safe_sqrt(values: np.ndarray, what: str) -> np.ndarray:
@@ -176,6 +183,7 @@ def _safe_sqrt(values: np.ndarray, what: str) -> np.ndarray:
     return np.sqrt(np.where(values < 0.0, 0.0, values))
 
 
+@_pointwise
 def envelope_density(model: LimitModel, x) -> float | np.ndarray:
     """Spin-independent density envelope on the positive support branch.
 
@@ -183,55 +191,52 @@ def envelope_density(model: LimitModel, x) -> float | np.ndarray:
     branches with :func:`spin_weight`.  Diverges like an inverse square
     root at the branch endpoints, hence the endpoint exclusion.
     """
-    xs, scalar = _as_array(x)
     lo, hi = support_intervals(model).positive
-    if np.any((xs < lo) | (xs > hi)):
+    if np.any((x < lo) | (x > hi)):
         raise OutsideSupportHull("envelope density requested outside its branch")
-    if np.any(np.minimum(np.abs(xs - lo), np.abs(xs - hi)) <= ENDPOINT_EXCLUSION):
+    if np.any(np.minimum(np.abs(x - lo), np.abs(x - hi)) <= ENDPOINT_EXCLUSION):
         raise EndpointSingularity(
             "density diverges at the support endpoints; evaluate further inside"
         )
     q = model.a_abs**2
     b = model.b_abs
-    d = np.asarray(radicand(model, xs), dtype=np.float64)
-    root_d = np.sqrt(d)
-    w_plus = -(1.0 - 4.0 * q) + 3.0 * (1.0 - 2.0 * q) * xs**2 + 2.0 * b * xs * root_d
-    w_minus = (1.0 + 8.0 * q) - 3.0 * (1.0 + 2.0 * q) * xs**2 - 2.0 * b * xs * root_d
-    out = (
+    root_d = np.sqrt(radicand(model, x))
+    w_plus = -(1.0 - 4.0 * q) + 3.0 * (1.0 - 2.0 * q) * x**2 + 2.0 * b * x * root_d
+    w_minus = (1.0 + 8.0 * q) - 3.0 * (1.0 + 2.0 * q) * x**2 - 2.0 * b * x * root_d
+    return (
         b
-        * (b * xs + root_d) ** 2
+        * (b * x + root_d) ** 2
         / (
             math.pi
-            * (1.0 - xs**2)
+            * (1.0 - x**2)
             * _safe_sqrt(w_plus, "branch weight (+)")
             * _safe_sqrt(w_minus, "branch weight (-)")
             * root_d
         )
     )
-    return float(out[0]) if scalar else out
 
 
+@_pointwise
 def limit_density(model: LimitModel, x) -> float | np.ndarray:
     """Limit density of the rescaled position; zero off the support, NaN at NaN.
 
     Raises :class:`EndpointSingularity` within ``1e-12`` of any of the four
     support endpoints, where the density diverges.
     """
-    xs, scalar = _as_array(x)
     intervals = support_intervals(model)
     endpoints = intervals.endpoint_values()
-    if np.any(np.min(np.abs(xs[:, None] - endpoints[None, :]), axis=1) <= ENDPOINT_EXCLUSION):
+    if np.any(np.min(np.abs(x[:, None] - endpoints[None, :]), axis=1) <= ENDPOINT_EXCLUSION):
         raise EndpointSingularity(
             "density diverges at the support endpoints; evaluate further inside"
         )
     lo, hi = intervals.positive
-    out = np.where(np.isnan(xs), np.nan, 0.0)
-    on_pos = (xs > lo) & (xs < hi)
+    out = np.where(np.isnan(x), np.nan, 0.0)
+    on_pos = (x > lo) & (x < hi)
     if np.any(on_pos):
-        xp = xs[on_pos]
+        xp = x[on_pos]
         out[on_pos] += (1.0 - spin_weight(model, xp)) * envelope_density(model, xp)
-    on_neg = (-xs > lo) & (-xs < hi)
+    on_neg = (-x > lo) & (-x < hi)
     if np.any(on_neg):
-        xm = -xs[on_neg]
+        xm = -x[on_neg]
         out[on_neg] += (1.0 + spin_weight(model, xm)) * envelope_density(model, xm)
-    return float(out[0]) if scalar else out
+    return out

@@ -464,19 +464,27 @@ def _check_order(r: int) -> None:
         raise ValueError("moment order must be between 0 and 8")
 
 
+def _moment_terms(dist: PositionDistribution, r_max: int, scale: float) -> Iterator:
+    """The terms ``p, p y, ..., p y^r_max`` of the moments of ``y = x / scale``,
+    each the one before times ``y``: numpy's ``y**r`` takes a general power on
+    negative ``y``, some twenty times slower at ``r >= 3``.  Orders 0 and 1
+    sum to the bits of ``sum(y**r * p)``, 2..8 to within ``1e-15 sum(|y|^r p)``.
+    """
+    y = dist.positions / _check_scale(scale)
+    term = dist.probabilities
+    yield term
+    for _ in range(r_max):
+        term = term * y
+        yield term
+
+
 def empirical_moment(dist: PositionDistribution, r: int, scale: float) -> float:
     """Moment ``sum_x (x / scale)^r p(x)`` of the rescaled position.
 
-    Each term is a running product, ``p`` times ``y = x / scale`` ``r``
-    times: numpy's ``y**r`` takes a general power on negative ``y``, some
-    twenty times slower at ``r >= 3``.  Orders 0 and 1 have the bits of
-    ``sum(y**r * p)``, orders 2..8 stay within ``1e-15 sum(|y|^r p)`` of
-    it.  ``r`` is capped at 8: higher moments amplify roundoff beyond the
+    ``r`` is capped at 8: higher moments amplify roundoff beyond the
     tolerances this package promises.
     """
     _check_order(r)
-    y = dist.positions / _check_scale(scale)
-    term = dist.probabilities
-    for _ in range(r):
-        term = term * y
+    for term in _moment_terms(dist, r, scale):
+        pass
     return float(np.sum(term))
