@@ -24,6 +24,7 @@ Angles are radians throughout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -35,12 +36,11 @@ from itertools import chain
 import numpy as np
 
 from .analysis import compare_distribution
-from .coins import general_coin, rotation_coin
+from .coins import CoinOperator, general_coin, rotation_coin
 from .errors import WalkError
 from .limit import ENDPOINT_EXCLUSION, LimitModel, limit_density, support_intervals
 from .walk import (
     InitialSpin,
-    StepProtocol,
     _distributions,
     canonical_protocol,
     distribution,
@@ -72,26 +72,22 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def _parse_pair(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"expected 're,im', got {text!r}")
-    try:
-        re, im = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"bad complex pair {text!r}: {exc}") from None
-    return complex(_finite(re, "amplitude"), _finite(im, "amplitude"))
+def _fields(text: str, sep: str, form: str, name: str) -> list:
+    """The ``sep``-separated fields of ``text``, one per field of ``form``:
+    an ``int`` for a field named ``n``, a finite float for any other.
 
-
-def _parse_coin_params(text: str) -> tuple[float, float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ConfigError(f"expected 'gamma,delta,xi,theta', got {text!r}")
+    ``name`` is the option the text came from, for the error message.
+    """
+    fields, parts = form.split(sep), text.split(sep)
+    if len(parts) != len(fields):
+        raise ConfigError(f"{name}: expected {form!r}, got {text!r}")
     try:
-        g, d, x, t = (float(p) for p in parts)
+        return [
+            int(part) if field == "n" else _finite(float(part), name)
+            for field, part in zip(fields, parts)
+        ]
     except ValueError as exc:
-        raise ConfigError(f"bad coin parameters {text!r}: {exc}") from None
-    return tuple(_finite(v, "coin parameter") for v in (g, d, x, t))
+        raise ConfigError(f"bad {name} {text!r}: {exc}") from None
 
 
 def _count(value: int, least: int, what: str) -> int:
@@ -109,22 +105,6 @@ def _count(value: int, least: int, what: str) -> int:
     return value
 
 
-def _parse_range(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"expected 'lo:hi:n', got {text!r}")
-    try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"bad range {text!r}: {exc}") from None
-    _finite(lo, "sweep bound")
-    _finite(hi, "sweep bound")
-    _finite(hi - lo, "sweep width")
-    if not hi > lo:
-        raise ConfigError("sweep range must have hi > lo")
-    return lo, hi, _count(n, 2, "sweep angle count")
-
-
 def _resolve_spin(args) -> InitialSpin:
     if getattr(args, "spin", None) == "symmetric":
         if args.alpha is not None or args.beta is not None:
@@ -134,8 +114,8 @@ def _resolve_spin(args) -> InitialSpin:
         return symmetric_spin()
     if args.alpha is None or args.beta is None:
         raise ConfigError("--alpha and --beta must be given together")
-    alpha = _parse_pair(args.alpha)
-    beta = _parse_pair(args.beta)
+    alpha = complex(*_fields(args.alpha, ",", "re,im", "--alpha"))
+    beta = complex(*_fields(args.beta, ",", "re,im", "--beta"))
     try:
         norm = abs(alpha) ** 2 + abs(beta) ** 2
     except OverflowError:  # components near the float limit
@@ -155,20 +135,42 @@ def _spin_config(spin: InitialSpin) -> dict:
     }
 
 
-def _open_output(path: str | None):
+def _resolve_walk(args) -> tuple[InitialSpin, list[CoinOperator], dict]:
+    """The spin and the coins of ``--theta`` or ``--coin`` (three for
+    ``three-coin``, else one), with their config entries, the coin's first.
+
+    The spin is read first, so a bad spin exits 2 even beside a forbidden
+    angle, and every ``--coin`` is parsed before any coin is built.
+    """
+    spin = _resolve_spin(args)
+    theta, coin = getattr(args, "theta", None), getattr(args, "coin", None)
+    form = "gamma,delta,xi,theta"
+    if isinstance(coin, list):  # three-coin's repeated --coin
+        if len(coin) != 3:
+            raise ConfigError("three-coin needs exactly three --coin options")
+        params = [_fields(c, ",", form, "--coin") for c in coin]
+        coins, coin_cfg = [general_coin(*p) for p in params], {"coins": params}
+    elif (theta is None) == (coin is None):
+        if "coin" not in args:  # simulate
+            raise ConfigError("--theta is required")
+        raise ConfigError("give exactly one of --theta or --coin")
+    elif theta is not None:
+        coins, coin_cfg = [rotation_coin(_finite(theta, "--theta"))], {"theta": theta}
+    else:
+        params = _fields(coin, ",", form, "--coin")
+        coins, coin_cfg = [general_coin(*params)], {"coin": params}
+    return spin, coins, {**coin_cfg, **_spin_config(spin)}
+
+
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator:
+    """stdout for ``None`` or ``-``, else ``path`` opened for writing and
+    closed on the way out."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
-def _write_json(path, config: dict, payload_key: str, payload) -> None:
-    handle, close = _open_output(path)
-    try:
-        json.dump({"config": config, payload_key: payload}, handle, indent=1)
-        handle.write("\n")
-    finally:
-        if close:
-            handle.close()
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        yield handle
 
 
 def _blocks(columns, float_spec: str, row: str, sep: str) -> Iterator[str]:
@@ -240,8 +242,7 @@ def _emit_table(args, command: str, config: dict, names: list[str], columns) -> 
     byte for byte; JSON writes the bytes of ``json.dump(..., indent=1)`` of
     the columns' ``tolist()`` rows.
     """
-    handle, close = _open_output(args.output)
-    try:
+    with _output(args.output) as handle:
         if args.format == "json":
             _write_json_table(handle, config, names, columns)
         else:
@@ -250,9 +251,6 @@ def _emit_table(args, command: str, config: dict, names: list[str], columns) -> 
                 handle.write(f"# {key}={json.dumps(value)}\n")
             handle.write(f"# columns: {','.join(names)}\n")
             handle.writelines(_blocks(columns, "%.17g", "{}\n", ","))
-    finally:
-        if close:
-            handle.close()
     return EXIT_OK
 
 
@@ -269,33 +267,6 @@ def _dist_columns(dists, keys=None) -> list[np.ndarray]:
     return columns
 
 
-def _simulate_protocol(args) -> tuple[StepProtocol, dict]:
-    if args.command == "three-coin":
-        if len(args.coin) != 3:
-            raise ConfigError("three-coin needs exactly three --coin options")
-        params = [_parse_coin_params(c) for c in args.coin]
-        protocol = three_coin_protocol(*(general_coin(*p) for p in params))
-        return protocol, {"coins": [list(p) for p in params]}
-    if args.theta is None:
-        raise ConfigError("--theta is required")
-    theta = _finite(args.theta, "--theta")
-    return three_period_protocol(theta), {"theta": theta}
-
-
-def _model_from(args) -> tuple[LimitModel, dict]:
-    spin = _resolve_spin(args)
-    if (args.theta is None) == (args.coin is None):
-        raise ConfigError("give exactly one of --theta or --coin")
-    if args.theta is not None:
-        coin = rotation_coin(_finite(args.theta, "--theta"))
-        coin_cfg = {"theta": args.theta}
-    else:
-        params = _parse_coin_params(args.coin)
-        coin = general_coin(*params)
-        coin_cfg = {"coin": list(params)}
-    return LimitModel(coin, spin), coin_cfg
-
-
 def _checkpoints(steps: int, every: int | None) -> list[int]:
     """Times to write: every ``every`` steps and the last, or the last alone."""
     if every is None:
@@ -310,12 +281,14 @@ def cmd_simulate(args) -> int:
     _count(args.steps, 0, "--steps")
     if args.every is not None and args.every < 1:
         raise ConfigError("--every must be positive")
-    spin = _resolve_spin(args)
-    protocol, coin_cfg = _simulate_protocol(args)
+    spin, coins, walk_cfg = _resolve_walk(args)
+    if len(coins) == 3:
+        protocol = three_coin_protocol(*coins)
+    else:  # [C, C, identity]; closing_coin(C) can round 1 off by an ulp
+        protocol = three_period_protocol(walk_cfg["theta"])
     config = {
         "subcommand": "simulate",
-        **coin_cfg,
-        **_spin_config(spin),
+        **walk_cfg,
         "steps": args.steps,
         "every": args.every,
         "format": args.format,
@@ -327,15 +300,14 @@ def cmd_simulate(args) -> int:
     return _emit_table(args, "simulate", config, names, columns)
 
 
-def _density_rows(model: LimitModel, grid: int) -> list[np.ndarray]:
+def _density_rows(model: LimitModel, endpoints, grid: int) -> list[np.ndarray]:
     """``x, f`` columns on midpoint grids per region between the support
-    endpoints, over (-1, 1).
+    ``endpoints``, over (-1, 1).
 
     Points are strictly inside each region, so the density is evaluated
     away from its endpoint singularities; regions off the support emit
     explicit zero rows.
     """
-    endpoints = support_intervals(model).endpoint_values()
     boundaries = [-1.0, *endpoints.tolist(), 1.0]
     xs = []
     for lo, hi in zip(boundaries[:-1], boundaries[1:]):
@@ -350,29 +322,25 @@ def _density_rows(model: LimitModel, grid: int) -> list[np.ndarray]:
 
 def cmd_density(args) -> int:
     _count(args.grid, 2, "--grid")
-    model, coin_cfg = _model_from(args)
-    intervals = support_intervals(model)
+    spin, (coin,), walk_cfg = _resolve_walk(args)
+    model = LimitModel(coin, spin)
+    endpoints = support_intervals(model).endpoint_values()
     config = {
         "subcommand": "density",
-        **coin_cfg,
-        **_spin_config(model.spin),
+        **walk_cfg,
         "grid": args.grid,
         "format": args.format,
-        "support": list(intervals.endpoint_values()),
+        "support": list(endpoints),
     }
-    columns = _density_rows(model, args.grid)
+    columns = _density_rows(model, endpoints, args.grid)
     return _emit_table(args, "density", config, ["x", "f"], columns)
 
 
 def cmd_compare(args) -> int:
     _count(args.steps, 3, "--steps")
-    model, coin_cfg = _model_from(args)
-    config = {
-        "subcommand": "compare",
-        **coin_cfg,
-        **_spin_config(model.spin),
-        "steps": args.steps,
-    }
+    spin, (coin,), walk_cfg = _resolve_walk(args)
+    model = LimitModel(coin, spin)
+    config = {"subcommand": "compare", **walk_cfg, "steps": args.steps}
     protocol = canonical_protocol(model.coin)
     t0 = time.perf_counter()
     state = evolve(model.spin, protocol, args.steps)
@@ -390,12 +358,18 @@ def cmd_compare(args) -> int:
         "mirror_asymmetry": report.mirror_asymmetry,
         "timings": {"evolve_s": t_evolve, "analysis_s": t_analyse},
     }
-    _write_json(args.output, config, "report", payload)
+    with _output(args.output) as handle:
+        json.dump({"config": config, "report": payload}, handle, indent=1)
+        handle.write("\n")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    lo, hi, count = _parse_range(args.theta_sweep)
+    lo, hi, count = _fields(args.theta_sweep, ":", "lo:hi:n", "--theta-sweep")
+    _finite(hi - lo, "sweep width")
+    if not hi > lo:
+        raise ConfigError("sweep range must have hi > lo")
+    _count(count, 2, "sweep angle count")
     _count(args.steps, 0, "--steps")
     spin = _resolve_spin(args)
     thetas = lo + (hi - lo) * np.arange(count) / (count - 1)

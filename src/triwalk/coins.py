@@ -27,9 +27,6 @@ __all__ = [
     "UNITARITY_TOLERANCE",
 ]
 
-# Angles at which the rotation coin degenerates into a trivial walk.
-TRIVIAL_ANGLES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, 2.0 * math.pi)
-
 ANGLE_TOLERANCE = 1e-9
 UNITARITY_TOLERANCE = 1e-12
 
@@ -102,10 +99,8 @@ class CoinOperator:
 def _reject_trivial_angle(theta: float) -> None:
     if not math.isfinite(theta):
         raise ValueError("angle must be finite")
-    reduced = math.fmod(theta, 2.0 * math.pi)
-    if reduced < 0.0:
-        reduced += 2.0 * math.pi
-    if min(abs(reduced - t) for t in TRIVIAL_ANGLES) <= ANGLE_TOLERANCE:
+    # the remainder is exact and odd in theta, so -theta is refused with theta
+    if abs(math.remainder(theta, 0.5 * math.pi)) <= ANGLE_TOLERANCE:
         raise ForbiddenAngle(
             f"angle {theta!r} is within {ANGLE_TOLERANCE} of a multiple of "
             "pi/2, where the walk is trivial"

@@ -243,6 +243,26 @@ def test_first_moment_error_falls_as_one_over_time(theta, spin, rel):
     assert scaled[1] == pytest.approx(scaled[0], rel=rel)
 
 
+@pytest.mark.parametrize(
+    "theta, spin",
+    [
+        (math.pi / 4, InitialSpin(0.6, 0.8j)),  # slope -0.385
+        (2 * math.pi / 5, InitialSpin(1.0, 0.0)),  # -0.394
+        (0.3, symmetric_spin()),  # -0.393
+        (1.2, InitialSpin(0.6, 0.8j)),  # -0.391
+    ],
+)
+def test_ks_distance_falls_near_the_cube_root_of_time(theta, spin):
+    # The least-squares slope of log KS against log T on T = 3,162 .. 99,999:
+    # near -1/3 (Airy scaling at the support edges), not -1/2.
+    model = LimitModel(rotation_coin(theta), spin)
+    times = [3 * round(10**e / 3) for e in (3.5, 3.75, 4.0, 4.25, 4.5, 4.75, 5.0)]
+    dists = _distributions(spin, canonical_protocol(model.coin), times)
+    ks = [ks_distance(d, d.t, model) for d in dists]
+    slope = np.polyfit(np.log(times), np.log(ks), 1)[0]
+    assert -0.43 <= slope <= -0.35
+
+
 def test_compare_walk_report_fields(gap_model):
     report = compare_walk(gap_model, 99, r_max=2)
     assert report.time == 99

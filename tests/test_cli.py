@@ -338,6 +338,67 @@ def test_degenerate_values_exit_code(tmp_path, capsys, args):
     assert not out.exists()
 
 
+def malformed(form):
+    """``form`` with too few fields, too many, a non-number and a non-finite one."""
+    sep = ":" if ":" in form else ","
+    fields = form.split(sep)
+    return [
+        sep.join(fields[:-1]),
+        sep.join([*fields, fields[-1]]),
+        sep.join(["x", *fields[1:]]),
+        sep.join(["nan", *fields[1:]]),
+    ]
+
+
+GOOD_COIN = "--coin=0.3,-1.1,0.7,1.0"
+GRAMMAR = [
+    *(["simulate", "--theta", PI4, f"--alpha={v}", "--beta=0,0.8", "--steps", "9"]
+      for v in malformed("0.6,0")),
+    *(["simulate", "--theta", PI4, "--alpha=0.6,0", f"--beta={v}", "--steps", "9"]
+      for v in malformed("0,0.8")),
+    *(["density", f"--coin={v}"] for v in malformed("0.3,-1.1,0.7,1.0")),
+    *(["compare", f"--coin={v}", "--steps", "9"] for v in malformed("0.3,-1.1,0.7,1.0")),
+    *(
+        ["three-coin", GOOD_COIN, f"--coin={v}", GOOD_COIN, "--steps", "9"]
+        for v in malformed("0.3,-1.1,0.7,1.0")
+    ),
+    *(["sweep", f"--theta-sweep={v}", "--steps", "9"] for v in malformed("0.4:2.7:5")),
+    # the count is an int: 1e3 is not read as 1000
+    ["sweep", "--theta-sweep=0.4:2.7:1e3", "--steps", "9"],
+]
+
+
+@pytest.mark.parametrize("args", GRAMMAR, ids=" ".join)
+def test_malformed_field_exits_2_with_one_line(tmp_path, capsys, args):
+    out = tmp_path / "x.out"
+    assert main([*args, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("triwalk: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["density", "--theta", "0"],
+        ["density", "--coin=0.3,-1.1,0.7,0"],
+        ["compare", "--theta", "0", "--steps", "9"],
+        ["compare", "--coin=0.3,-1.1,0.7,0", "--steps", "9"],
+        ["simulate", "--theta", "0", "--steps", "9"],
+        ["three-coin", GOOD_COIN, "--coin=0,0,0,0", GOOD_COIN, "--steps", "9"],
+    ],
+    ids=" ".join,
+)
+def test_bad_spin_wins_over_forbidden_angle(tmp_path, capsys, args):
+    # The spin is read before the coin: exit 2, not the angle's exit 3.
+    out = tmp_path / "x.out"
+    assert main([*args, "--alpha=0.9,0", "--beta=0.1,0", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("triwalk: spin is not normalised") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_compare_at_a_tiny_angle_exits_cleanly(tmp_path):
     # Nearly trivial angle: the panel moments resolve it like any other.
     out = tmp_path / "r.json"

@@ -42,13 +42,20 @@ def test_rotation_two_pi_fifths_entries():
 
 @pytest.mark.parametrize(
     "theta",
-    [0.0, math.pi / 2, math.pi, 1.5 * math.pi, 2 * math.pi, 1e-10, math.pi / 2 + 5e-10, -math.pi],
+    [
+        *(0.0, math.pi / 2, math.pi, 1.5 * math.pi, 2 * math.pi),
+        *(1e-10, math.pi / 2 + 5e-10, -math.pi),
+        # the tolerance holds on both sides of each multiple
+        *(-1e-9, 1e-9, -math.pi / 2 - 5e-10, -1.5 * math.pi),
+    ],
 )
 def test_forbidden_angles_rejected(theta):
     with pytest.raises(ForbiddenAngle):
         rotation_coin(theta)
     with pytest.raises(ForbiddenAngle):
         general_coin(0.3, 0.1, 0.2, theta)
+    with pytest.raises(ForbiddenAngle):
+        general_coin(0, 0, 0, theta)
 
 
 def test_nearly_trivial_angle_allowed():
