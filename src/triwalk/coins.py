@@ -163,8 +163,8 @@ def closing_coin(coin: CoinOperator) -> CoinOperator:
     """Diagonal coin ``diag(1, -conj(a) d / |a|^2)`` that closes a three-step cycle.
 
     Used as the third coin of the cycle ``[coin, coin, closing_coin(coin)]``.
-    For a real rotation coin it reduces exactly to the identity, recovering
-    the shift-only third step of the canonical model.
+    ``|a|^2`` comes from the numerator's own products, so for a real rotation
+    coin at any angle it is exactly the identity: a shift-only third step.
 
     Raises
     ------
@@ -177,6 +177,6 @@ def closing_coin(coin: CoinOperator) -> CoinOperator:
         raise DegenerateCoin(
             "closing coin undefined: top-left coin entry is (numerically) zero"
         )
-    lower = -(a.conjugate() * coin.d) / (abs(a) ** 2)
+    lower = -(a.conjugate() * coin.d) / (a.real * a.real + a.imag * a.imag)
     m = np.array([[1.0, 0.0], [0.0, lower]], dtype=np.complex128)
     return CoinOperator(m, kind="closing")

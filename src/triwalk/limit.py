@@ -164,6 +164,11 @@ def spin_weight(model: LimitModel, x) -> float | np.ndarray:
     symmetric spin ``(1/sqrt(2), i/sqrt(2))``.  Nonlinear in ``x`` through
     the shared radicand.
     """
+    return _spin_weight(model, x, np.sqrt(radicand(model, x)))
+
+
+def _spin_weight(model: LimitModel, x: np.ndarray, root_d: np.ndarray) -> np.ndarray:
+    """:func:`spin_weight` at flat ``x``, given ``sqrt(radicand(model, x))``."""
     a, b = model.coin.a, model.coin.b
     alpha, beta = model.spin.alpha, model.spin.beta
     q = model.a_abs**2
@@ -174,7 +179,7 @@ def spin_weight(model: LimitModel, x) -> float | np.ndarray:
     curve = (q * model.b_abs**2 * delta - (1.0 + 2.0 * q) * cross) / (
         q * model.b_abs * denom
     )
-    return slope * x + curve * np.sqrt(radicand(model, x))
+    return slope * x + curve * root_d
 
 
 def _safe_sqrt(values: np.ndarray, what: str) -> np.ndarray:
@@ -198,9 +203,13 @@ def envelope_density(model: LimitModel, x) -> float | np.ndarray:
         raise EndpointSingularity(
             "density diverges at the support endpoints; evaluate further inside"
         )
+    return _envelope_density(model, x, np.sqrt(radicand(model, x)))
+
+
+def _envelope_density(model: LimitModel, x: np.ndarray, root_d: np.ndarray) -> np.ndarray:
+    """:func:`envelope_density` at flat ``x`` inside its branch."""
     q = model.a_abs**2
     b = model.b_abs
-    root_d = np.sqrt(radicand(model, x))
     w_plus = -(1.0 - 4.0 * q) + 3.0 * (1.0 - 2.0 * q) * x**2 + 2.0 * b * x * root_d
     w_minus = (1.0 + 8.0 * q) - 3.0 * (1.0 + 2.0 * q) * x**2 - 2.0 * b * x * root_d
     return (
@@ -231,12 +240,11 @@ def limit_density(model: LimitModel, x) -> float | np.ndarray:
         )
     lo, hi = intervals.positive
     out = np.where(np.isnan(x), np.nan, 0.0)
-    on_pos = (x > lo) & (x < hi)
-    if np.any(on_pos):
-        xp = x[on_pos]
-        out[on_pos] += (1.0 - spin_weight(model, xp)) * envelope_density(model, xp)
-    on_neg = (-x > lo) & (-x < hi)
-    if np.any(on_neg):
-        xm = -x[on_neg]
-        out[on_neg] += (1.0 + spin_weight(model, xm)) * envelope_density(model, xm)
+    for sign in (1.0, -1.0):  # each branch forms its radicand once
+        on = (sign * x > lo) & (sign * x < hi)
+        if np.any(on):
+            xs = sign * x[on]
+            root_d = np.sqrt(radicand(model, xs))
+            weight = 1.0 - sign * _spin_weight(model, xs, root_d)
+            out[on] += weight * _envelope_density(model, xs, root_d)
     return out

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import CoinOperator, closing_coin, identity_coin, rotation_coin
+from .coins import CoinOperator, closing_coin, rotation_coin
 
 __all__ = [
     "InitialSpin",
@@ -90,17 +90,17 @@ class StepProtocol:
 
 
 def three_period_protocol(theta: float) -> StepProtocol:
-    """The canonical cycle ``[C, C, identity]`` for a rotation coin at ``theta``."""
-    coin = rotation_coin(theta)
-    return StepProtocol((coin, coin, identity_coin()))
+    """:func:`canonical_protocol` of the rotation coin at ``theta``: the cycle
+    ``[C, C, identity]``, as its closing coin is exactly the identity."""
+    return canonical_protocol(rotation_coin(theta))
 
 
 def canonical_protocol(coin: CoinOperator) -> StepProtocol:
     """``[coin, coin, closing_coin(coin)]`` - the cycle whose long-time law
     this package evaluates in closed form.
 
-    For rotation coins the closing coin is exactly the identity, so this
-    coincides with :func:`three_period_protocol`.
+    For a rotation coin at any angle the closing coin is exactly the
+    identity, so the third step is a bare shift.
     """
     return StepProtocol((coin, coin, closing_coin(coin)))
 

@@ -110,6 +110,58 @@ def test_csv_bytes_equal_the_per_row_writer_on_raw_bit_patterns(table):
         assert written(names, columns) == csv_table("test", {"k": 1}, names, columns)
 
 
+def exact_ties(rng, size: int) -> np.ndarray:
+    """Doubles ``n + k / 2**j`` (``k`` odd, ``n`` of ``18 - j`` digits) whose
+    exact decimal has 18 significant digits, the last a 5: ``%.17g`` rounds
+    them half to even (``j = 3`` holds the 7.7e14-scale eighths)."""
+    ties = []
+    for j in range(2, 18):
+        n = rng.integers(10 ** (17 - j), min(10 ** (18 - j), 2 ** (53 - j)), size)
+        ties.append(n + (2 * rng.integers(0, 2 ** (j - 1), size) + 1) / 2.0**j)
+    return np.concatenate(ties)
+
+
+def test_csv_cells_equal_percent_formatting_on_a_million_values():
+    rng = np.random.default_rng(22)
+    tens = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    carries = [9.9999999999999999e-5, 99999.999999999999, 0.99999999999999999,
+               9.9999999999999999e16, 9.9999999999999999e-300, 772649201234567.125]
+    floats = np.concatenate([
+        np.nextafter(tens, 0.0), tens, np.nextafter(tens, np.inf), carries,
+        exact_ties(rng, 2_000),
+        float_column(EDGE_BITS),
+        float_column(rng.integers(1, 2**52, 10_000, dtype=np.uint64)),  # subnormals
+        np.exp(rng.uniform(-745.0, 709.0, 50_000)),  # every exponent
+        rng.random(50_000) ** 3,  # probabilities
+        float_column(rng.integers(0, 2**64, 380_000, dtype=np.uint64)),  # raw bit patterns
+    ])
+    floats = np.concatenate([floats, -floats])
+    ints = rng.integers(-(2**63), 2**63, floats.size, dtype=np.int64)
+    ints[: floats.size // 2] //= 10 ** rng.integers(0, 19, floats.size // 2)
+    ints[:6] = [0, -1, 2**63 - 1, -(2**63 - 1), -(2**63), 10**16]
+    assert 2 * floats.size >= 10**6
+    names = ["i", "f"]
+    with mock.patch.object(cli, "_BLOCK_ROWS", 1_999):  # blocks end mid-table
+        for rows in np.array_split(np.arange(floats.size), 5):
+            columns = [ints[rows], floats[rows]]
+            blocks = list(cli._csv_blocks(columns))
+            assert len(blocks) == -(-rows.size // 1_999)
+            # lists of lines: a mismatch is reported by its first line
+            expected = csv_table("test", {"k": 1}, names, columns).splitlines()
+            assert "".join(blocks).splitlines() == expected[3:]
+
+
+def test_csv_cells_never_trust_a_wrong_exponent_guess(monkeypatch):
+    # a log10 one off either way on alternate values: no digits it leads to
+    # may be certified, so every value goes through % and stays exact
+    rng = np.random.default_rng(5)
+    floats = np.concatenate([rng.random(3_000) ** 9, -np.exp(rng.uniform(-640, 640, 3_000))])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + np.resize([1.0, -1.0], a.shape))
+    expected = csv_table("test", {"k": 1}, ["f"], [floats]).splitlines()
+    assert written(["f"], [floats]).splitlines() == expected
+
+
 def test_one_parser_serves_every_call_in_a_process(tmp_path):
     runs = [
         ["simulate", "--theta", "0.7", "--steps", "20", "--every", "5"],

@@ -12,6 +12,7 @@ from triwalk import (
     envelope_density,
     general_coin,
     identity_coin,
+    limit,
     limit_cdf,
     limit_density,
     radicand,
@@ -163,6 +164,27 @@ def test_limit_density_overlapping_branches_at_origin(pi4_model):
     assert limit_density(pi4_model, 0.0) == pytest.approx(
         math.sqrt(2.0) / math.pi, rel=1e-13
     )
+
+
+@pytest.mark.parametrize("coin", [rotation_coin(math.pi / 4), general_coin(0.3, -1.1, 0.7, 1.3)])
+def test_limit_density_forms_one_radicand_per_branch(monkeypatch, coin):
+    model = LimitModel(coin, InitialSpin(0.6, 0.8j))
+    x = -1.0 + (np.arange(2001) + 0.5) / 1000.5
+    lo, hi = support_intervals(model).positive
+    expected = np.zeros_like(x)
+    for sign in (1.0, -1.0):  # the two branches, read through the public forms
+        on = (sign * x > lo) & (sign * x < hi)
+        xs = sign * x[on]
+        expected[on] += (1.0 - sign * spin_weight(model, xs)) * envelope_density(model, xs)
+    calls = []
+
+    def counted(model, x):
+        calls.append(x.size)
+        return radicand(model, x)
+
+    monkeypatch.setattr(limit, "radicand", counted)
+    assert np.array_equal(limit_density(model, x), expected)
+    assert len(calls) == 2
 
 
 def test_limit_density_nonnegative_random_models():
