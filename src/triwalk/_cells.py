@@ -59,7 +59,7 @@ def int_cells(v: np.ndarray, out: np.ndarray) -> None:
     out[:, 2:] = digits * (np.arange(n, dtype=np.int8) >= zeros.astype(np.int8)[:, None])
 
 
-def float_digits(v: np.ndarray):
+def _float_digits(v: np.ndarray):
     """``(D, X, ok)``: where ``ok``, ``%.17g`` writes float64 ``v`` with the
     17 digits of int64 ``D`` and the decimal exponent ``X``.
 
@@ -92,8 +92,8 @@ def float_digits(v: np.ndarray):
 
 def float_cells(v: np.ndarray, out: np.ndarray) -> None:
     """Fill the rows of ``out`` with ``,`` and ``'%.17g' % v`` for float64
-    ``v``, from :func:`float_digits` or, where it cannot certify, ``%``."""
-    d, x, ok = float_digits(v)
+    ``v``, from :func:`_float_digits` or, where it cannot certify, ``%``."""
+    d, x, ok = _float_digits(v)
     digits = _digits(d, 5)[:, 3:]
     # %g strips trailing zeros, but not those of an integer part
     nonzero = digits != 48
