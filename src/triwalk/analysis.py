@@ -140,10 +140,10 @@ def gap_mass(
     :class:`NoGap` when the support has no gap around the origin.
     """
     scale = _check_scale(scale)
-    lo = support_intervals(model).positive[0]
-    if lo <= 0.0:
+    gap = support_intervals(model).gap
+    if gap is None:
         raise NoGap("support branches overlap at the origin; there is no gap")
-    cut = lo - margin
+    cut = gap[1] - margin
     y = np.abs(dist.positions / scale)
     return float(np.sum(dist.probabilities[y <= cut]))
 

@@ -12,12 +12,10 @@ Data files are deterministic: identical configuration yields byte-identical
 output.  CSV files carry ``#``-prefixed header lines; JSON files are a
 single document ``{"config": ..., "data": ...}`` (or ``"report"`` for
 ``compare``, whose timings are the one intentionally non-reproducible
-field).  Every CSV value is written byte for byte as ``%d`` (int columns)
-or ``%.17g`` (float columns, which round-trip) writes it, by numpy passes
-(``_cells``); a JSON table is what ``json.dump(..., indent=1)`` writes for
-its rows.  Rows go out in blocks, and a key repeated down a column (the
-``t`` of ``--every``, the ``theta`` of ``sweep``) is formatted once per
-run.  Angles are radians.
+field).  Every table's text comes from ``triwalk._cells``: a CSV value is
+written byte for byte as ``%d`` (int columns) or ``%.17g`` (float columns,
+which round-trip) writes it, and a JSON table is what ``json.dump(...,
+indent=1)`` writes for its rows.  Angles are radians.
 """
 
 from __future__ import annotations
@@ -30,11 +28,10 @@ import math
 import sys
 import time
 from collections.abc import Iterator
-from itertools import chain
 
 import numpy as np
 
-from ._cells import FLOAT_CELL, float_cells, int_cells
+from ._cells import write_table
 from .analysis import compare_distribution
 from .coins import CoinOperator, general_coin, rotation_coin
 from .errors import WalkError
@@ -56,11 +53,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
-
-# rows per block of the JSON and CSV writers, whose text and lists stay under
-# 1 MB; a CSV block, one numpy pass, holds at most _PASS_ROWS (~0.5 MB)
-_BLOCK_ROWS = 4096
-_PASS_ROWS = 2048
 
 
 class ConfigError(Exception):
@@ -174,114 +166,11 @@ def _output(path: str | None) -> Iterator:
         yield handle
 
 
-def _run_starts(column: np.ndarray) -> np.ndarray | None:
-    """The first row of each run of bit-identical values in ``column``, or
-    ``None`` unless there is at most one run per two rows (a key such as
-    ``t`` or ``theta``).  Runs are found on bit patterns, so ``-0.0`` next
-    to ``0.0``, or NaNs, never merge."""
-    bits = column.view(f"u{column.dtype.itemsize}")
-    change = bits[1:] != bits[:-1]
-    if 2 * (np.count_nonzero(change) + 1) > column.size:
-        return None
-    return np.flatnonzero(np.concatenate(([True], change)))
-
-
-def _blocks(columns) -> Iterator[str]:
-    """The JSON rows of ``columns``, one string per block of ``_BLOCK_ROWS``
-    rows, each opening with its ``,`` and each value written as ``%d`` (int
-    columns) or ``%r`` (all others) writes it, by one ``%`` per block; a key
-    column (see :func:`_run_starts`) is formatted once per run."""
-    rows = columns[0].size
-    specs, keys = [], []
-    for column in columns:
-        spec = "%d" if column.dtype.kind == "i" else "%r"
-        starts = _run_starts(column)
-        specs.append(spec if starts is None else "%s")
-        keys.append(None if starts is None else (starts, [spec % v for v in column[starts].tolist()]))
-    row = ",\n   [\n    {}\n   ]".format(",\n    ".join(specs))
-    for lo in range(0, rows, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, rows)
-        block = []
-        for column, key in zip(columns, keys):
-            if key is None:
-                block.append(column[lo:hi].tolist())
-            else:
-                starts, labels = key
-                runs = starts.searchsorted(np.arange(lo, hi), "right") - 1
-                block.append(map(labels.__getitem__, runs.tolist()))
-        yield (row * (hi - lo)) % tuple(chain.from_iterable(zip(*block)))
-
-
-def _csv_blocks(columns) -> Iterator[str]:
-    """The CSV rows of ``columns``, one string per block of ``_BLOCK_ROWS`` (at
-    most ``_PASS_ROWS``) rows, each one numpy pass of ``int_cells`` and
-    ``float_cells``; a key column (see :func:`_run_starts`) is written once per run."""
-    rows, fills, width = columns[0].size, [], 0
-    for column in columns:
-        ints = column.dtype.kind == "i"
-        column = column.astype(np.int64 if ints else np.float64, copy=False)
-        # an int cell holds a sign and the digits of its column's widest value
-        widest = max(-int(column.min(initial=0)), int(column.max(initial=0))) if ints else 0
-        cells, size = (int_cells, 2 + len(str(widest))) if ints else (float_cells, FLOAT_CELL)
-        starts, labels = _run_starts(column), None
-        if starts is not None:
-            labels = np.empty((starts.size, size), np.uint8)
-            cells(column[starts], labels)
-        fills.append((column, cells, starts, labels, slice(width, width + size)))
-        width += size
-    step = min(_BLOCK_ROWS, _PASS_ROWS)
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        text = bytearray((width + 1) * (hi - lo))
-        block = np.frombuffer(text, np.uint8).reshape(hi - lo, width + 1)
-        for column, cells, starts, labels, span in fills:
-            if starts is None:
-                cells(column[lo:hi], block[:, span])
-            else:
-                block[:, span] = labels[starts.searchsorted(np.arange(lo, hi), "right") - 1]
-        block[:, 0] = 0  # the first column's separator
-        block[:, width] = ord("\n")
-        yield text.translate(None, b"\0").decode()
-
-
-def _write_json_table(handle, config: dict, names: list[str], columns) -> None:
-    """The document ``json.dump(..., indent=1)`` writes for the table, byte
-    for byte, with its rows written by :func:`_blocks`.
-
-    ``%d`` and ``%r`` write ints and floats as ``json`` does, but for the
-    non-finite floats, which ``json`` writes as ``NaN``, ``Infinity`` and
-    ``-Infinity``: no other value's text holds ``nan`` or ``inf``.
-    """
-    doc = {"config": config, "data": {"columns": names, "rows": []}}
-    head, tail = json.dumps(doc, indent=1).rsplit("[]", 1)
-    if not columns[0].size:
-        handle.write(f"{head}[]{tail}\n")
-        return
-    # every row opens with its separator; the first row's is dropped
-    blocks = _blocks(columns)
-    blocks = (b.replace("nan", "NaN").replace("inf", "Infinity") for b in blocks)
-    handle.write(f"{head}[{next(blocks)[1:]}")
-    handle.writelines(blocks)
-    handle.write(f"\n  ]{tail}\n")
-
-
 def _emit_table(args, command: str, config: dict, names: list[str], columns) -> int:
-    """Write numpy ``columns`` as CSV or JSON rows.
-
-    Both go out in blocks, with each run of a repeated key formatted once.
-    CSV writes every value as ``%d`` (int columns) or ``%.17g`` (all others)
-    would, byte for byte, from numpy passes (:func:`_csv_blocks`); JSON the
-    bytes of ``json.dump(..., indent=1)`` of the ``tolist()`` rows.
-    """
+    """Write numpy ``columns`` as the CSV or JSON table of ``command``, as
+    :func:`triwalk._cells.write_table` writes it."""
     with _output(args.output) as handle:
-        if args.format == "json":
-            _write_json_table(handle, config, names, columns)
-        else:
-            handle.write(f"# triwalk {command}\n")
-            for key, value in config.items():
-                handle.write(f"# {key}={json.dumps(value)}\n")
-            handle.write(f"# columns: {','.join(names)}\n")
-            handle.writelines(_csv_blocks(columns))
+        write_table(handle, args.format, command, config, names, columns)
     return EXIT_OK
 
 

@@ -96,7 +96,9 @@ class CoinOperator:
         return self.kind
 
 
-def _reject_trivial_angle(theta: float) -> None:
+def _rotation(theta: float) -> np.ndarray:
+    """``[[cos, sin], [sin, -cos]]`` at ``theta``, refused within
+    :data:`ANGLE_TOLERANCE` of a multiple of pi/2."""
     if not math.isfinite(theta):
         raise ValueError("angle must be finite")
     # the remainder is exact and odd in theta, so -theta is refused with theta
@@ -105,6 +107,8 @@ def _reject_trivial_angle(theta: float) -> None:
             f"angle {theta!r} is within {ANGLE_TOLERANCE} of a multiple of "
             "pi/2, where the walk is trivial"
         )
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, s], [s, -c]], dtype=np.complex128)
 
 
 def rotation_coin(theta: float) -> CoinOperator:
@@ -122,10 +126,7 @@ def rotation_coin(theta: float) -> CoinOperator:
     ForbiddenAngle
         If ``theta`` is too close to a multiple of pi/2.
     """
-    _reject_trivial_angle(theta)
-    c, s = math.cos(theta), math.sin(theta)
-    m = np.array([[c, s], [s, -c]], dtype=np.complex128)
-    return CoinOperator(m, kind="rotation", params=(float(theta),))
+    return CoinOperator(_rotation(theta), kind="rotation", params=(float(theta),))
 
 
 def general_coin(gamma: float, delta: float, xi: float, theta: float) -> CoinOperator:
@@ -137,9 +138,7 @@ def general_coin(gamma: float, delta: float, xi: float, theta: float) -> CoinOpe
     With all phases zero the result is bit-identical to
     ``rotation_coin(theta)``.
     """
-    _reject_trivial_angle(theta)
-    c, s = math.cos(theta), math.sin(theta)
-    rot = np.array([[c, s], [s, -c]], dtype=np.complex128)
+    rot = _rotation(theta)
     left = np.array(
         [[cmath.exp(1j * gamma), 0.0], [0.0, cmath.exp(1j * delta)]],
         dtype=np.complex128,

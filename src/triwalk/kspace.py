@@ -22,6 +22,7 @@ mismatch is absorbed into ``LimitModel.effective_spin``.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ import numpy as np
 from .coins import CoinOperator
 from .errors import DegenerateQuasimomentum
 from .limit import LimitModel, _pointwise
-from .walk import StepProtocol, _check_order
+from .walk import StepProtocol, _block, _check_order, _steps
 
 __all__ = [
     "EigenSystem",
@@ -55,41 +56,16 @@ _K_GUARD = 1e-9
 _SIGNS = (-1.0, 1.0)
 
 
-def _rotation_entries(coin: CoinOperator) -> tuple[float, float]:
-    m = coin.matrix
-    if (
-        np.abs(m.imag).max() > 1e-12
-        or abs(m[0, 1] - m[1, 0]) > 1e-12
-        or abs(m[0, 0] + m[1, 1]) > 1e-12
-    ):
-        raise ValueError(
-            "momentum-space branches need a rotation-form coin [[c, s], [s, -c]]"
-        )
-    return float(m[0, 0].real), float(m[0, 1].real)
-
-
-def _check_quasimomentum(k: float) -> None:
-    if not -math.pi <= k <= math.pi:
-        raise ValueError("quasi-momentum must lie in [-pi, pi]")
-    if abs(k) <= _K_GUARD or math.pi - abs(k) <= _K_GUARD:
-        raise DegenerateQuasimomentum(
-            "branches coincide at k = 0 and k = +-pi; stay away from them"
-        )
-
-
 def fourier_block(protocol: StepProtocol, k: float) -> np.ndarray:
     """One full period of ``protocol`` as a 2x2 matrix at quasi-momentum ``k``.
 
     Each step contributes ``S(k) @ coin``; the product runs later steps on
-    the left.  For the canonical cycle this is ``S (S C)^2``.
+    the left.  For the canonical cycle this is ``S (S C)^2``.  As ``S(k) =
+    exp(ik) diag(1, exp(-2ik))``, it is ``exp(ipk)``, for ``p`` steps, times
+    the walk's own period block (:func:`triwalk.walk._block`).
     """
-    shift = np.array(
-        [[np.exp(1j * k), 0.0], [0.0, np.exp(-1j * k)]], dtype=np.complex128
-    )
-    block = np.eye(2, dtype=np.complex128)
-    for coin in protocol.coins:
-        block = shift @ coin.matrix @ block
-    return block
+    a, b, c, d = _block(_steps(protocol), cmath.exp(-2j * k))
+    return cmath.exp(1j * protocol.period * k) * np.array([[a, b], [c, d]], dtype=np.complex128)
 
 
 class _tables:
@@ -186,8 +162,22 @@ def eigen_system(coin: CoinOperator, k: float) -> EigenSystem:
     ValueError
         If the coin is not of rotation form, or ``k`` is out of range.
     """
-    c, s = _rotation_entries(coin)
-    _check_quasimomentum(k)
+    m = coin.matrix
+    if (
+        np.abs(m.imag).max() > 1e-12
+        or abs(m[0, 1] - m[1, 0]) > 1e-12
+        or abs(m[0, 0] + m[1, 1]) > 1e-12
+    ):
+        raise ValueError(
+            "momentum-space branches need a rotation-form coin [[c, s], [s, -c]]"
+        )
+    if not -math.pi <= k <= math.pi:
+        raise ValueError("quasi-momentum must lie in [-pi, pi]")
+    if abs(k) <= _K_GUARD or math.pi - abs(k) <= _K_GUARD:
+        raise DegenerateQuasimomentum(
+            "branches coincide at k = 0 and k = +-pi; stay away from them"
+        )
+    c, s = float(m[0, 0].real), float(m[0, 1].real)
     t = _tables(c, s, np.array([float(k)]))
     a0, b0, cross0, root = (float(x[0]) for x in (t.a, t.b, t.cross, t.root))
     eigenvalues = np.array([a0 + 1j * root, a0 - 1j * root])
@@ -209,12 +199,11 @@ def eigen_system(coin: CoinOperator, k: float) -> EigenSystem:
 
 
 def group_velocity(coin: CoinOperator, k: float, branch: int) -> float:
-    """Group velocity of one branch; ``branch`` is 1 or 2 and ``h_1 = -h_2``."""
+    """Group velocity of one branch, as :func:`eigen_system` gives it;
+    ``branch`` is 1 or 2 and ``h_1 = -h_2``."""
     if branch not in (1, 2):
         raise ValueError("branch must be 1 or 2")
-    c, s = _rotation_entries(coin)
-    _check_quasimomentum(k)
-    return float(_velocities(c, s, np.array([float(k)]))[branch - 1, 0])
+    return float(eigen_system(coin, k).velocities[branch - 1])
 
 
 def kspace_moment(model: LimitModel, r: int) -> float:

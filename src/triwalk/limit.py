@@ -46,8 +46,8 @@ __all__ = [
 # Density evaluation refuses points closer than this to a support endpoint.
 ENDPOINT_EXCLUSION = 1e-12
 
-# Radicand values in [-_CLAMP, 0) are treated as roundoff and clamped to 0;
-# anything more negative raises.
+# Branch weights in [-_CLAMP, 0) are roundoff, read by _safe_sqrt as 0;
+# anything more negative raises.  (radicand clamps its own [-1e-9, 0).)
 _CLAMP = 1e-12
 
 

@@ -194,6 +194,12 @@ def step(state: WalkState, coin: CoinOperator) -> WalkState:
     return WalkState(state.t + 1, out)
 
 
+def _steps(protocol: StepProtocol) -> list:
+    """Each step's coin matrix in order, or ``None`` for an identity coin,
+    which a step skips."""
+    return [None if c.is_identity() else c.matrix for c in protocol.coins]
+
+
 def _stepping(
     spin: InitialSpin, protocol: StepProtocol, steps: int
 ) -> Iterator[np.ndarray]:
@@ -209,7 +215,7 @@ def _stepping(
     amp = np.zeros((2, steps + 1), dtype=np.complex128)
     amp[0, 0] = spin.alpha
     amp[1, steps] = spin.beta
-    coins = [None if c.is_identity() else c.matrix for c in protocol.coins]
+    coins = _steps(protocol)
     yield amp
     for t in range(steps):
         m = coins[t % len(coins)]
@@ -265,11 +271,11 @@ def _block(coins: list, w: np.ndarray) -> tuple:
     """``F_{n-1} ... F_0`` for steps with ``coins`` in order, as its four
     entries ``(a, b, c, d)``, each a scalar or a ``(w.size,)`` array.
 
-    ``coins`` holds each step's coin matrix, or ``None`` for an identity
-    coin, as in :func:`_stepping`.  ``w`` holds ``exp(-2ik)``; at momentum
-    ``k`` a step with coin ``C`` is ``diag(1, w) @ C``,
-    :func:`~triwalk.kspace.fourier_block`'s ``S(k) @ C`` times ``exp(-ik)``,
-    so an identity step only multiplies ``c`` and ``d`` by ``w``.
+    ``coins`` is :func:`_steps` of a protocol, or a prefix of it.  ``w``
+    holds ``exp(-2ik)``; at momentum ``k`` a step with coin ``C`` is
+    ``diag(1, w) @ C``, the ``S(k) @ C`` of
+    :func:`~triwalk.kspace.fourier_block` times ``exp(-ik)``, so an
+    identity step only multiplies ``c`` and ``d`` by ``w``.
     """
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for m in coins:
@@ -310,7 +316,7 @@ def _fourier_reads(
     ``r^(pm)``, a shift by ``pm / 2`` columns: the inverse FFT's output is
     rolled, after one factor ``r`` if ``pm`` is odd.  Leftover steps follow.
     """
-    coins = [None if c.is_identity() else c.matrix for c in protocol.coins]
+    coins = _steps(protocol)
     period = len(coins)
     phi = cmath.phase(math.prod(c.a * c.d - c.b * c.c for c in protocol.coins))
     for t in times:

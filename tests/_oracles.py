@@ -197,10 +197,24 @@ def moment_table(model, cells: int) -> np.ndarray:
     return table
 
 
+def fourier_product(protocol, k: float) -> np.ndarray:
+    """One period of ``protocol`` at quasi-momentum ``k``, a step at a time.
+
+    The reference product for ``kspace.fourier_block`` and ``walk._block``:
+    each step is ``S(k) @ C`` with ``S(k) = diag(e^{ik}, e^{-ik})``, one 2x2
+    matmul per factor, later steps on the left.
+    """
+    shift = np.array([[np.exp(1j * k), 0.0], [0.0, np.exp(-1j * k)]], dtype=complex)
+    block = np.eye(2, dtype=complex)
+    for coin in protocol.coins:
+        block = shift @ coin.matrix @ block
+    return block
+
+
 def csv_table(command: str, config: dict, names: list[str], columns) -> str:
     """The CLI's CSV file for numpy ``columns``, written one row at a time.
 
-    The slow oracle for ``cli._emit_table``: whole columns listed, then one
+    The slow oracle for ``_cells.write_table``: whole columns listed, then one
     ``row % tuple`` per row, with ``%d`` for int columns and ``%.17g`` for
     every other column.
     """
@@ -216,7 +230,7 @@ def csv_table(command: str, config: dict, names: list[str], columns) -> str:
 def json_table(config: dict, names: list[str], columns) -> str:
     """The CLI's JSON table file for numpy ``columns``, through ``json.dump``.
 
-    The slow oracle for ``cli._emit_table``'s JSON branch: whole columns
+    The slow oracle for ``_cells.write_table``'s JSON branch: whole columns
     listed, zipped into row lists, and the document written by
     ``json.dump(indent=1)``'s pure-Python encoder.
     """

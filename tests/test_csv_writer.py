@@ -12,10 +12,10 @@ from _oracles import csv_table
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from triwalk import cli
+from triwalk import _cells, cli
 from triwalk.cli import main
 
-BLOCK = cli._BLOCK_ROWS
+BLOCK = _cells._BLOCK_ROWS
 COINS = ["--coin=0.3,0.2,0.1,0.9", "--coin=0,0,0,1.2", "--coin=0.5,-0.4,0.2,2.1"]
 TABLES = [
     ["simulate", "--theta", "0.7", "--steps", "300"],
@@ -28,6 +28,8 @@ TABLES = [
     # 4,095, 4,096 and 4,097 rows: one short of a block, a block, one over
     *(["simulate", "--theta", "0.7", "--steps", str(t)] for t in (4094, 4095, 4096)),
 ]
+# a row short of, at and over one block and two, and a row over four
+EDGE_ROWS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 4 * BLOCK + 1]
 
 
 def written(names, columns) -> str:
@@ -54,7 +56,7 @@ def test_csv_bytes_equal_the_per_row_writer(tmp_path, monkeypatch, argv):
     assert out.read_bytes() == csv_table(*table).encode()
 
 
-@pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("rows", EDGE_ROWS)
 def test_keyed_csv_bytes_at_block_edges(rows):
     rng = np.random.default_rng(rows)
     # key runs of 1,000 rows straddle every block edge
@@ -106,7 +108,7 @@ EXTREME_INTS = np.array([0, 0, -1, 2**63 - 1, -(2**63)] * 2, dtype=np.int64)
 def test_csv_bytes_equal_the_per_row_writer_on_raw_bit_patterns(table):
     columns, block = table
     names = ["k", "i", "f"]
-    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+    with mock.patch.object(_cells, "_BLOCK_ROWS", block):
         assert written(names, columns) == csv_table("test", {"k": 1}, names, columns)
 
 
@@ -141,10 +143,10 @@ def test_csv_cells_equal_percent_formatting_on_a_million_values():
     ints[:6] = [0, -1, 2**63 - 1, -(2**63 - 1), -(2**63), 10**16]
     assert 2 * floats.size >= 10**6
     names = ["i", "f"]
-    with mock.patch.object(cli, "_BLOCK_ROWS", 1_999):  # blocks end mid-table
+    with mock.patch.object(_cells, "_BLOCK_ROWS", 1_999):  # blocks end mid-table
         for rows in np.array_split(np.arange(floats.size), 5):
             columns = [ints[rows], floats[rows]]
-            blocks = list(cli._csv_blocks(columns))
+            blocks = list(_cells._csv_blocks(columns))
             assert len(blocks) == -(-rows.size // 1_999)
             # lists of lines: a mismatch is reported by its first line
             expected = csv_table("test", {"k": 1}, names, columns).splitlines()

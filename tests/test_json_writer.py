@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from _oracles import csv_table, json_table
 from hypothesis import example, given, settings
-from test_csv_writer import BLOCK, COINS, EXTREME_INTS, SIGNED_ZEROS, TABLES, tables
+from test_csv_writer import BLOCK, COINS, EDGE_ROWS, EXTREME_INTS, SIGNED_ZEROS, TABLES, tables
 
-from triwalk import cli
+from triwalk import _cells, cli
 from triwalk.cli import main
 
 
@@ -54,22 +54,37 @@ def test_json_bytes_equal_the_json_encoder(tmp_path, monkeypatch, argv):
 
 GENERAL = ["--coin", "0.3,-1.1,0.7,1.0"]
 ROTATION = ["--theta", "1.2566370614359172"]
-# every table command at one row short of a block, a block and one over
+# every table command at one row short of a block, a block and one over,
+# then the same at two blocks
 EDGE_TABLES = [
     *(
+        (["simulate", "--theta", "0.4", "--steps", str(s), "--every", "31"], rows)
+        for s, rows in ((330, BLOCK - 1), (331, BLOCK), (332, BLOCK + 1))
+    ),
+    *(
+        (["three-coin", *COINS, "--steps", str(s), "--every", "31"], rows)
+        for s, rows in ((330, BLOCK - 1), (331, BLOCK), (332, BLOCK + 1))
+    ),
+    (["sweep", "--theta-sweep", "0.4:2.7:23", "--steps", "88"], BLOCK - 1),
+    (["sweep", "--theta-sweep", "0.4:2.7:4", "--steps", "511"], BLOCK),
+    (["sweep", "--theta-sweep", "0.4:2.7:3", "--steps", "682"], BLOCK + 1),
+    (["density", "--theta", "1.3", "--grid", "2047"], BLOCK - 1),
+    (["density", *ROTATION, "--grid", "2048"], BLOCK),
+    (["density", *GENERAL, "--grid", "2049"], BLOCK + 1),
+    *(
         (["simulate", "--theta", "0.4", "--steps", str(s), "--every", "30"], rows)
-        for s, rows in ((478, BLOCK - 1), (479, BLOCK), (480, BLOCK + 1))
+        for s, rows in ((478, 2 * BLOCK - 1), (479, 2 * BLOCK), (480, 2 * BLOCK + 1))
     ),
     *(
         (["three-coin", *COINS, "--steps", str(s), "--every", "30"], rows)
-        for s, rows in ((478, BLOCK - 1), (479, BLOCK), (480, BLOCK + 1))
+        for s, rows in ((478, 2 * BLOCK - 1), (479, 2 * BLOCK), (480, 2 * BLOCK + 1))
     ),
-    (["sweep", "--theta-sweep", "0.4:2.7:5", "--steps", "818"], BLOCK - 1),
-    (["sweep", "--theta-sweep", "0.4:2.7:4", "--steps", "1023"], BLOCK),
-    (["sweep", "--theta-sweep", "0.4:2.7:17", "--steps", "240"], BLOCK + 1),
-    (["density", *GENERAL, "--grid", "4094"], BLOCK - 1),
-    (["density", *ROTATION, "--grid", "4095"], BLOCK),
-    (["density", *GENERAL, "--grid", "4097"], BLOCK + 1),
+    (["sweep", "--theta-sweep", "0.4:2.7:5", "--steps", "818"], 2 * BLOCK - 1),
+    (["sweep", "--theta-sweep", "0.4:2.7:4", "--steps", "1023"], 2 * BLOCK),
+    (["sweep", "--theta-sweep", "0.4:2.7:17", "--steps", "240"], 2 * BLOCK + 1),
+    (["density", *GENERAL, "--grid", "4094"], 2 * BLOCK - 1),
+    (["density", *ROTATION, "--grid", "4095"], 2 * BLOCK),
+    (["density", *GENERAL, "--grid", "4097"], 2 * BLOCK + 1),
 ]
 
 
@@ -88,7 +103,7 @@ def test_table_bytes_at_block_edges(tmp_path, monkeypatch, argv, rows, fmt):
         assert data == csv_table(command, config, names, columns).encode()
 
 
-@pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("rows", [0, 1, *EDGE_ROWS])
 def test_keyed_json_bytes_at_block_edges(rows):
     rng = np.random.default_rng(rows)
     # key runs of 1,000 rows straddle every block edge
@@ -118,5 +133,5 @@ NON_FINITE = np.array([np.nan, -np.nan, np.inf, -np.inf, 1.0])
 def test_json_bytes_equal_the_json_encoder_on_raw_bit_patterns(table):
     columns, block = table
     names = ["k", "i", "f"]
-    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+    with mock.patch.object(_cells, "_BLOCK_ROWS", block):
         assert written(names, columns) == expected(names, columns)

@@ -32,6 +32,7 @@ from triwalk.walk import (
     _measured,
     _smooth_size,
     _stepping,
+    _steps,
     _walk,
 )
 
@@ -40,6 +41,7 @@ from _oracles import (
     dense_evolve,
     dense_index,
     dense_step_operator,
+    fourier_product,
     random_safe_angle,
     random_spin,
 )
@@ -393,17 +395,20 @@ def test_distribution_is_the_full_width_formula_bit_for_bit():
 
 
 def test_period_block_matches_fourier_block():
-    k = np.array([-2.9, -0.4, 0.3, 1.7, 3.1])
+    # both momentum-space periods against the per-step product, on every
+    # protocol, the identity-coin cycles included
+    rng = np.random.default_rng(23)
+    k = np.concatenate(([-np.pi, -2.9, -0.4, 0.0, 0.3, 1.7, 3.1, np.pi], rng.uniform(-4, 4, 200)))
     for protocol in PROTOCOLS:
-        coins = [None if c.is_identity() else c.matrix for c in protocol.coins]
-        entries = _block(coins, np.exp(-2j * k))
+        entries = _block(_steps(protocol), np.exp(-2j * k))
         a, b, c, d = (np.broadcast_to(e, k.shape) for e in entries)
         # Each step's S(k) C carries the phase exp(ik) that the walk factors out.
         phase = np.exp(1j * k * protocol.period)
         for j in range(k.size):
-            block = np.array([[a[j], b[j]], [c[j], d[j]]])
-            expected = fourier_block(protocol, k[j])
-            assert np.allclose(block * phase[j], expected, rtol=0, atol=1e-14)
+            expected = fourier_product(protocol, k[j])
+            block = np.array([[a[j], b[j]], [c[j], d[j]]]) * phase[j]
+            assert np.allclose(block, expected, rtol=0, atol=1e-14)
+            assert np.allclose(fourier_block(protocol, k[j]), expected, rtol=0, atol=1e-14)
 
 
 def test_evolve_takes_each_path_on_its_side_of_the_crossover():
