@@ -170,6 +170,18 @@ def mirror_asymmetry(dist: PositionDistribution) -> float:
     return float(np.max(np.abs(forward - mirrored)))
 
 
+def _moment_errors(
+    dist: PositionDistribution, reference: list[float], scale: float
+) -> tuple[tuple[int, float], ...]:
+    """``(r, |m_r - reference[r]|)`` for each order ``r`` of ``reference``,
+    ``m_r`` the moment of ``dist`` rescaled by ``scale``."""
+    terms = _moment_terms(dist, len(reference) - 1, scale)
+    return tuple(
+        (r, abs(float(np.sum(term)) - m))
+        for r, (term, m) in enumerate(zip(terms, reference))
+    )
+
+
 @dataclass(frozen=True)
 class MomentErrors:
     """Absolute moment errors |empirical - limit| at one walk time."""
@@ -195,16 +207,7 @@ def moment_report(
     dists = {
         d.t: d for d in _distributions(model.spin, protocol, sorted(set(times)))
     }
-    return [
-        MomentErrors(
-            time=t,
-            errors=tuple(
-                (r, abs(float(np.sum(term)) - reference[r]))
-                for r, term in enumerate(_moment_terms(dists[t], r_max, t))
-            ),
-        )
-        for t in times
-    ]
+    return [MomentErrors(t, _moment_errors(dists[t], reference, t)) for t in times]
 
 
 @dataclass(frozen=True)
@@ -240,10 +243,8 @@ def compare_distribution(
     """Full comparison of one distribution against the limit law of ``model``."""
     _check_order(r_max)
     ks = ks_distance(dist, scale, model)
-    moments = tuple(
-        (r, abs(float(np.sum(term)) - kspace_moment(model, r)))
-        for r, term in enumerate(_moment_terms(dist, r_max, scale))
-    )
+    reference = [kspace_moment(model, r) for r in range(r_max + 1)]
+    moments = _moment_errors(dist, reference, scale)
     try:
         gap = gap_mass(dist, scale, model)
     except NoGap:

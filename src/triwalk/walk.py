@@ -8,14 +8,16 @@ one site left, the spin-1 amplitude one site right.  Coins are drawn
 cyclically from a :class:`StepProtocol`; the canonical instance is the
 three-step cycle ``[coin, coin, identity]``.
 
-:func:`evolve` and every multi-time read go through :func:`_walk`.  Reads
-fewer than 50 steps apart on average are stepped, as :func:`step` does, in
-O(T^2); sparser ones each take one inverse FFT, in O(T log T), on the
-smallest 5-smooth grid of at least ``T + 1`` momenta (Ambainis, Bach, Nayak,
-Vishwanath & Watrous, "One-dimensional quantum walks", STOC 2001), which
-raises the period block to its power in closed form.  Up to T = 9,999 the
-two agree to within 1e-13 in every amplitude, the FFT read is unitary to
-rounding at every T, and both leave the odd columns exactly zero.
+:func:`evolve` and every multi-time read go through :func:`_walk`, which
+picks one of two kernels; both take the reported times and yield one
+``(t, occupied)`` read per time.  Reads fewer than 50 steps apart on average
+are stepped, as :func:`step` does, in O(T^2); sparser ones each take one
+inverse FFT, in O(T log T), on the smallest 5-smooth grid of at least
+``T + 1`` momenta (Ambainis, Bach, Nayak, Vishwanath & Watrous,
+"One-dimensional quantum walks", STOC 2001), which raises the period block
+to its power in closed form.  Up to T = 9,999 the two agree to within 1e-13
+in every amplitude, the FFT read is unitary to rounding at every T, and both
+leave the odd columns exactly zero.
 """
 
 from __future__ import annotations
@@ -201,27 +203,31 @@ def _steps(protocol: StepProtocol) -> list:
 
 
 def _stepping(
-    spin: InitialSpin, protocol: StepProtocol, steps: int
-) -> Iterator[np.ndarray]:
-    """Yield the occupied amplitudes after each of ``0 .. steps`` steps.
+    spin: InitialSpin, protocol: StepProtocol, times: list[int]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """:func:`_walk`'s reads from one stepped pass, bit for bit folded
+    :func:`step` calls, in O(T^2) to the last of ``times``, ``T``.
 
-    One ``(2, steps + 1)`` array is updated in place; a consumer copies
-    what it keeps.  Spin-0's amplitudes never move, and spin-1's window
-    moves one column left per step from the last, so after ``t`` steps the
-    state is spin-0 columns ``0 .. t`` and spin-1 columns ``steps - t ..
-    steps`` (column ``i`` at position ``2i - t``); step ``t`` applies its
-    coin there in place, as :func:`step` does, and skips identity coins.
+    One ``(2, T + 1)`` array is updated in place.  Spin-0's amplitudes
+    never move, and spin-1's window moves one column left per step from
+    the last, so after ``t`` steps the state is spin-0 columns ``0 .. t``
+    and spin-1 columns ``T - t .. T`` (column ``i`` at position ``2i - t``);
+    step ``t`` applies its coin there in place, as :func:`step` does, and
+    skips identity coins.  Each read stacks those columns into a new array.
     """
-    amp = np.zeros((2, steps + 1), dtype=np.complex128)
+    last = times[-1]
+    amp = np.zeros((2, last + 1), dtype=np.complex128)
     amp[0, 0] = spin.alpha
-    amp[1, steps] = spin.beta
+    amp[1, last] = spin.beta
     coins = _steps(protocol)
-    yield amp
-    for t in range(steps):
-        m = coins[t % len(coins)]
-        if m is not None:
-            _coin(m, amp[0, : t + 1], amp[1, steps - t :])
-        yield amp
+    done = 0
+    for t in times:
+        for s in range(done, t):
+            m = coins[s % len(coins)]
+            if m is not None:
+                _coin(m, amp[0, : s + 1], amp[1, last - s :])
+        done = t
+        yield t, np.stack((amp[0, : t + 1], amp[1, last - t :]))
 
 
 # Reads fewer than this many steps apart on average are stepped.  For one read
@@ -367,18 +373,12 @@ def _walk(
     """Yield ``(t, occupied)`` at each of the strictly increasing ``times``,
     a new ``(2, t + 1)`` array: the even columns of :class:`WalkState`.
 
-    Reads fewer than 50 steps apart on average come from one
-    :func:`_stepping` pass, bit for bit folded :func:`step` calls; sparser
+    Both kernels read this way; the rule picks one.  Reads fewer than 50
+    steps apart on average come from one :func:`_stepping` pass; sparser
     ones take one inverse FFT each (:func:`_fourier_reads`).
     """
-    last = times[-1]
-    if len(times) * _FOURIER_MIN_STEPS <= last:
-        yield from _fourier_reads(spin, protocol, times)
-        return
-    wanted = set(times)
-    for t, amp in enumerate(_stepping(spin, protocol, last)):
-        if t in wanted:
-            yield t, np.stack((amp[0, : t + 1], amp[1, last - t :]))
+    dense = len(times) * _FOURIER_MIN_STEPS > times[-1]
+    return (_stepping if dense else _fourier_reads)(spin, protocol, times)
 
 
 def _check_steps(steps: int) -> int:

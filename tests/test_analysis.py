@@ -22,6 +22,7 @@ from triwalk import (
     general_coin,
     ks_distance,
     ks_statistic,
+    kspace_moment,
     limit_cdf,
     mirror_asymmetry,
     moment_report,
@@ -241,6 +242,32 @@ def test_first_moment_error_falls_as_one_over_time(theta, spin, rel):
     report = moment_report(model, [9999, 99999], r_max=1)
     scaled = [entry.time * dict(entry.errors)[1] for entry in report]
     assert scaled[1] == pytest.approx(scaled[0], rel=rel)
+
+
+# T * dm_1 and T^2 * dm_2, dm_r the signed moment error, on one T ladder.
+# Gapped, they are constant: 0.26371 and 0.5347, gated at 1e-3 relative.
+# Gapless, they wander in -0.16267 .. -0.15550 and 1.4432 .. 1.5570 (as
+# measured), gated in those bands widened by 0.005 and 0.05 on either side.
+LAW_TIMES = [999, 2997, 9999, 29997, 99999]
+GAPPED_LAWS = [(c * (1 - 1e-3), c * (1 + 1e-3)) for c in (0.26371, 0.5347)]
+GAPLESS_LAWS = [(-0.16267 - 0.005, -0.15550 + 0.005), (1.4432 - 0.05, 1.5570 + 0.05)]
+
+
+@pytest.mark.parametrize(
+    "theta, spin, bands",
+    [
+        (2 * math.pi / 5, InitialSpin(1.0, 0.0), GAPPED_LAWS),
+        (math.pi / 4, InitialSpin(0.6, 0.8j), GAPLESS_LAWS),
+    ],
+    ids=["gapped", "gapless"],
+)
+def test_moment_errors_follow_their_law_in_time(theta, spin, bands):
+    model = LimitModel(rotation_coin(theta), spin)
+    limit = [kspace_moment(model, r) for r in (1, 2)]
+    for dist in _distributions(spin, canonical_protocol(model.coin), LAW_TIMES):
+        t = dist.t
+        for r, m, (lo, hi) in zip((1, 2), limit, bands):
+            assert lo <= t**r * (empirical_moment(dist, r, t) - m) <= hi, (t, r)
 
 
 @pytest.mark.parametrize(

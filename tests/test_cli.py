@@ -502,3 +502,14 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", [[], ["simulate"], ["density"], ["compare"], ["sweep"], ["three-coin"]]
+)
+def test_help_exits_zero_with_its_usage(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(" ".join(["usage: triwalk", *command, "[-h]"]))

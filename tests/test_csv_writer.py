@@ -25,8 +25,11 @@ TABLES = [
     ["sweep", "--theta-sweep=-2.5:-0.3:4", "--steps", "40"],
     ["density", "--theta", "1.2566370614359172", "--grid", "400"],
     ["density", "--coin", "0.3,-1.1,0.7,1.0", "--alpha=0.6,0", "--beta=0,0.8"],
-    # 4,095, 4,096 and 4,097 rows: one short of a block, a block, one over
-    *(["simulate", "--theta", "0.7", "--steps", str(t)] for t in (4094, 4095, 4096)),
+    # T steps give T + 1 rows: a row short of, at and over one block, then two
+    *(
+        ["simulate", "--theta", "0.7", "--steps", str(rows - 1)]
+        for rows in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1)
+    ),
 ]
 # a row short of, at and over one block and two, and a row over four
 EDGE_ROWS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 4 * BLOCK + 1]

@@ -244,23 +244,6 @@ PROTOCOLS = [
 ]
 
 
-def stepped(spin, protocol, steps):
-    """The stepping kernel drained to ``steps``: its occupied columns."""
-    for amp in _stepping(spin, protocol, steps):
-        pass
-    return amp
-
-
-def stepped_reads(spin, protocol, times):
-    """The stepping kernel's state at each of ``times``, from one pass."""
-    last = times[-1]
-    return {
-        t: np.stack((amp[0, : t + 1], amp[1, last - t :]))
-        for t, amp in enumerate(_stepping(spin, protocol, last))
-        if t in times
-    }
-
-
 def test_evolve_equals_folded_steps_bitwise():
     rng = np.random.default_rng(13)
     for protocol in PROTOCOLS:
@@ -271,7 +254,7 @@ def test_evolve_equals_folded_steps_bitwise():
         sparse = _distributions(spin, protocol, [3, 17, 40])
         assert [d.t for d in read] == list(range(41))
         for steps in range(41):
-            direct = stepped(spin, protocol, steps)
+            ((_, direct),) = _stepping(spin, protocol, [steps])
             folded = point_mass(alpha, beta)
             for t in range(steps):
                 folded = step(folded, protocol.coins[t % protocol.period])
@@ -295,8 +278,9 @@ def test_fourier_amplitudes_match_stepping():
         spin = InitialSpin(*random_spin(rng))
         for steps in [*range(61), 999, 9999]:
             ((t, fast),) = _fourier_reads(spin, protocol, [steps])
+            ((_, slow),) = _stepping(spin, protocol, [steps])
             assert t == steps and fast.shape == (2, steps + 1)
-            assert np.max(np.abs(fast - stepped(spin, protocol, steps))) <= 1e-12
+            assert np.max(np.abs(fast - slow)) <= 1e-12
         state = evolve(spin, protocol, 9999)
         assert np.array_equal(state.amplitudes[:, ::2], fast)
         assert np.all(state.amplitudes[:, 1::2] == 0)
@@ -304,12 +288,29 @@ def test_fourier_amplitudes_match_stepping():
         # Sparse reads, each on its own grid: random ones and three close together.
         picks = reads_rng.choice(2999, size=20, replace=False).tolist()
         times = sorted({*picks, 1000, 1001, 1003, 2999})
-        expected = stepped_reads(spin, protocol, times)
+        expected = dict(_stepping(spin, protocol, times))
         reads = list(_fourier_reads(spin, protocol, times))
         assert [t for t, _ in reads] == times
         for t, fast in reads:
             assert fast.shape == (2, t + 1)
             assert np.max(np.abs(fast - expected[t])) <= 1e-12
+
+
+def test_both_kernels_read_the_same_times_alike():
+    # One times list through either kernel: the same times, each read a new
+    # (2, t + 1) array, the two kernels' reads equal to 1e-12.
+    rng = np.random.default_rng(31)
+    times = [0, 1, 2, 3, 40, 41, 50, 299, 300, 1001]
+    for protocol in PROTOCOLS:
+        spin = InitialSpin(*random_spin(rng))
+        stepped = list(_stepping(spin, protocol, times))
+        fourier = list(_fourier_reads(spin, protocol, times))
+        assert [t for t, _ in stepped] == [t for t, _ in fourier] == times
+        for (t, slow), (_, fast) in zip(stepped, fourier):
+            assert slow.shape == fast.shape == (2, t + 1)
+            assert np.max(np.abs(slow - fast)) <= 1e-12
+        for (_, earlier), (_, later) in zip(stepped, stepped[1:]):
+            assert not np.shares_memory(earlier, later)
 
 
 def test_sparse_pass_reads_each_time_as_a_single_read():
@@ -420,7 +421,7 @@ def test_evolve_takes_each_path_on_its_side_of_the_crossover():
     for times in dense + sparse:
         reads = list(_walk(spin, protocol, times))
         assert [t for t, _ in reads] == times
-        stepped_side = stepped_reads(spin, protocol, times)
+        stepped_side = dict(_stepping(spin, protocol, times))
         fourier_side = dict(_fourier_reads(spin, protocol, times))
         if times in dense:
             kernel, other = stepped_side, fourier_side
@@ -432,7 +433,8 @@ def test_evolve_takes_each_path_on_its_side_of_the_crossover():
         # The kernels differ in their last bits, so the choice is visible.
         assert not np.array_equal(amp, other[t])
     state = evolve(spin, protocol, below)
-    assert np.array_equal(state.amplitudes[:, ::2], stepped(spin, protocol, below))
+    ((_, slow),) = _stepping(spin, protocol, [below])
+    assert np.array_equal(state.amplitudes[:, ::2], slow)
     assert np.all(state.amplitudes[:, 1::2] == 0)
     for steps in (_FOURIER_MIN_STEPS, 999):
         state = evolve(spin, protocol, np.int64(steps))
