@@ -40,6 +40,8 @@ from .walk import (
     InitialSpin,
     _distributions,
     canonical_protocol,
+    distribution,
+    evolve,
     symmetric_spin,
     three_coin_protocol,
     three_period_protocol,
@@ -258,10 +260,10 @@ def cmd_compare(args) -> int:
     config = {"subcommand": "compare", **walk_cfg, "steps": args.steps}
     protocol = canonical_protocol(model.coin)
     t0 = time.perf_counter()
-    dist = _distributions(model.spin, protocol, [args.steps])[0]
+    state = evolve(model.spin, protocol, args.steps)
     t_evolve = time.perf_counter() - t0
     t0 = time.perf_counter()
-    report = compare_distribution(model, dist, args.steps)
+    report = compare_distribution(model, distribution(state), args.steps)
     t_analyse = time.perf_counter() - t0
     payload = {
         "time": report.time,

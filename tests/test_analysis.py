@@ -230,20 +230,6 @@ def test_moment_report_of_no_times_and_a_negative_time(pi4_model):
         moment_report(pi4_model, [99, -3])
 
 
-@pytest.mark.parametrize(
-    "theta, spin, rel",
-    [
-        (2 * math.pi / 5, InitialSpin(1.0, 0.0), 1e-3),  # 0.26371 at both times
-        (math.pi / 4, InitialSpin(0.6, 0.8j), 2e-2),  # 0.15681, then 0.15855
-    ],
-)
-def test_first_moment_error_falls_as_one_over_time(theta, spin, rel):
-    model = LimitModel(rotation_coin(theta), spin)
-    report = moment_report(model, [9999, 99999], r_max=1)
-    scaled = [entry.time * dict(entry.errors)[1] for entry in report]
-    assert scaled[1] == pytest.approx(scaled[0], rel=rel)
-
-
 # T * dm_1 and T^2 * dm_2, dm_r the signed moment error, on one T ladder.
 # Gapped, they are constant: 0.26371 and 0.5347, gated at 1e-3 relative.
 # Gapless, they wander in -0.16267 .. -0.15550 and 1.4432 .. 1.5570 (as
@@ -254,20 +240,25 @@ GAPLESS_LAWS = [(-0.16267 - 0.005, -0.15550 + 0.005), (1.4432 - 0.05, 1.5570 + 0
 
 
 @pytest.mark.parametrize(
-    "theta, spin, bands",
+    "theta, spin, rel, bands",
     [
-        (2 * math.pi / 5, InitialSpin(1.0, 0.0), GAPPED_LAWS),
-        (math.pi / 4, InitialSpin(0.6, 0.8j), GAPLESS_LAWS),
+        # T * dm_1: 0.26371 at T = 9,999 and 99,999
+        (2 * math.pi / 5, InitialSpin(1.0, 0.0), 1e-3, GAPPED_LAWS),
+        # T * |dm_1|: 0.15681, then 0.15855
+        (math.pi / 4, InitialSpin(0.6, 0.8j), 2e-2, GAPLESS_LAWS),
     ],
     ids=["gapped", "gapless"],
 )
-def test_moment_errors_follow_their_law_in_time(theta, spin, bands):
+def test_moment_errors_fall_as_their_power_of_time(theta, spin, rel, bands):
     model = LimitModel(rotation_coin(theta), spin)
     limit = [kspace_moment(model, r) for r in (1, 2)]
+    scaled = {}
     for dist in _distributions(spin, canonical_protocol(model.coin), LAW_TIMES):
         t = dist.t
         for r, m, (lo, hi) in zip((1, 2), limit, bands):
-            assert lo <= t**r * (empirical_moment(dist, r, t) - m) <= hi, (t, r)
+            scaled[t, r] = t**r * (empirical_moment(dist, r, t) - m)
+            assert lo <= scaled[t, r] <= hi, (t, r)
+    assert scaled[99999, 1] == pytest.approx(scaled[9999, 1], rel=rel)
 
 
 @pytest.mark.parametrize(

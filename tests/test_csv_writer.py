@@ -16,6 +16,8 @@ from triwalk import _cells, cli
 from triwalk.cli import main
 
 BLOCK = _cells._BLOCK_ROWS
+# a row short of, at and over one block and two, and a row over four
+EDGE_ROWS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 4 * BLOCK + 1]
 COINS = ["--coin=0.3,0.2,0.1,0.9", "--coin=0,0,0,1.2", "--coin=0.5,-0.4,0.2,2.1"]
 TABLES = [
     ["simulate", "--theta", "0.7", "--steps", "300"],
@@ -26,13 +28,8 @@ TABLES = [
     ["density", "--theta", "1.2566370614359172", "--grid", "400"],
     ["density", "--coin", "0.3,-1.1,0.7,1.0", "--alpha=0.6,0", "--beta=0,0.8"],
     # T steps give T + 1 rows: a row short of, at and over one block, then two
-    *(
-        ["simulate", "--theta", "0.7", "--steps", str(rows - 1)]
-        for rows in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1)
-    ),
+    *(["simulate", "--theta", "0.7", "--steps", str(rows - 1)] for rows in EDGE_ROWS[:6]),
 ]
-# a row short of, at and over one block and two, and a row over four
-EDGE_ROWS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 4 * BLOCK + 1]
 
 
 def written(names, columns) -> str:
