@@ -200,7 +200,7 @@ def moment_report(
     """
     _check_order(r_max)
     reference = [kspace_moment(model, r) for r in range(r_max + 1)]
-    times = [_check_steps(t) for t in times]
+    times = [_check_steps(t, 1, "time") for t in times]
     if not times:
         return []
     protocol = canonical_protocol(model.coin)
@@ -261,9 +261,9 @@ def compare_distribution(
 
 
 def compare_walk(model: LimitModel, time: int, *, r_max: int = 4) -> ComparisonReport:
-    """Evolve the canonical cycle to ``time`` and compare against the limit law."""
-    protocol = canonical_protocol(model.coin)
-    dist = distribution(evolve(model.spin, protocol, time))
+    """Evolve the canonical cycle to ``time >= 1`` and compare against the limit law."""
+    time = _check_steps(time, 1, "time")
+    dist = distribution(evolve(model.spin, canonical_protocol(model.coin), time))
     return compare_distribution(model, dist, time, r_max=r_max)
 
 
@@ -276,8 +276,7 @@ def offphase_compare(
     intermediate times behave indistinguishably at this resolution; both
     reports use the unmodified law.
     """
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    _check_steps(t, 1, "t")
     protocol = canonical_protocol(model.coin)
     dists = _distributions(model.spin, protocol, [3 * t + 1, 3 * t + 2])
     return tuple(compare_distribution(model, d, d.t, r_max=r_max) for d in dists)

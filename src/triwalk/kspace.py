@@ -33,7 +33,7 @@ import numpy as np
 
 from .coins import CoinOperator
 from .errors import DegenerateQuasimomentum
-from .limit import LimitModel, _pointwise
+from .limit import LimitModel, _pointwise, support_intervals
 from .walk import StepProtocol, _block, _check_order, _steps
 
 __all__ = [
@@ -311,8 +311,7 @@ class _LimitCdf:
         c, s, (alpha, beta) = model.a_abs, model.b_abs, model.effective_spin
         c2 = c * c
         self.c2, self.s = c2, s
-        self.hull = math.sqrt(1.0 + 8.0 * c2) / 3.0
-        self.low = (1.0 - 4.0 * c2) / 3.0
+        self.low, self.hull = support_intervals(model).positive
         self.norm = abs(alpha) ** 2 + abs(beta) ** 2
         if 2.0 * c2 > 1.0:
             self.k0 = math.asin(math.sqrt((1.0 + 2.0 * c2) / (4.0 * c2)))
@@ -395,7 +394,7 @@ class _LimitCdf:
         return kappa[: a.size], kappa[a.size :]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """CDF at a flat float array; exactly 0 and 1 beyond the hull, NaN at NaN.
+        """CDF at a flat float array; exactly 0 and 1 at and beyond the hull, NaN at NaN.
 
         The crossings and ``Phi`` depend on ``|x|`` alone.  So an input that
         is its own mirror image, ``x == -x[::-1]`` like the rescaled
@@ -452,10 +451,10 @@ def limit_cdf(model: LimitModel, x, *, refine: bool = True) -> float | np.ndarra
     from one table per model (:class:`_LimitCdf`).  The result is exact to
     rounding: within 1e-10 of a quadrature of the closed-form density, at
     the support endpoints too, and it stays accurate where the real-space
-    density diverges.  Beyond the support hull it is exactly 0 or 1; NaN
-    points give NaN.  Points that mirror themselves, ``x == -x[::-1]`` like
-    a walk's rescaled positions, are read once per ``|x|``, with the same
-    bits as a read of each point.  ``refine`` is accepted and ignored: there
-    is one CDF.
+    density diverges.  At and beyond the hull of :func:`support_intervals`
+    it is exactly 0 or 1; NaN points give NaN.  Points that mirror
+    themselves, ``x == -x[::-1]`` like a walk's rescaled positions, are read
+    once per ``|x|``, with the same bits as a read of each point.
+    ``refine`` is accepted and ignored: there is one CDF.
     """
     return _table(model)(x)

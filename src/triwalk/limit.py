@@ -188,6 +188,14 @@ def _safe_sqrt(values: np.ndarray, what: str) -> np.ndarray:
     return np.sqrt(np.where(values < 0.0, 0.0, values))
 
 
+def _refuse_endpoints(x: np.ndarray, ends) -> None:
+    """Refuse flat ``x`` within ``ENDPOINT_EXCLUSION`` of one of ``ends``."""
+    if np.any(np.min(np.abs(x[:, None] - ends), axis=1) <= ENDPOINT_EXCLUSION):
+        raise EndpointSingularity(
+            "density diverges at the support endpoints; evaluate further inside"
+        )
+
+
 @_pointwise
 def envelope_density(model: LimitModel, x) -> float | np.ndarray:
     """Spin-independent density envelope on the positive support branch.
@@ -196,13 +204,10 @@ def envelope_density(model: LimitModel, x) -> float | np.ndarray:
     branches with :func:`spin_weight`.  Diverges like an inverse square
     root at the branch endpoints, hence the endpoint exclusion.
     """
-    lo, hi = support_intervals(model).positive
+    lo, hi = ends = support_intervals(model).positive
     if np.any((x < lo) | (x > hi)):
         raise OutsideSupportHull("envelope density requested outside its branch")
-    if np.any(np.minimum(np.abs(x - lo), np.abs(x - hi)) <= ENDPOINT_EXCLUSION):
-        raise EndpointSingularity(
-            "density diverges at the support endpoints; evaluate further inside"
-        )
+    _refuse_endpoints(x, ends)
     return _envelope_density(model, x, np.sqrt(radicand(model, x)))
 
 
@@ -233,11 +238,7 @@ def limit_density(model: LimitModel, x) -> float | np.ndarray:
     support endpoints, where the density diverges.
     """
     intervals = support_intervals(model)
-    endpoints = intervals.endpoint_values()
-    if np.any(np.min(np.abs(x[:, None] - endpoints[None, :]), axis=1) <= ENDPOINT_EXCLUSION):
-        raise EndpointSingularity(
-            "density diverges at the support endpoints; evaluate further inside"
-        )
+    _refuse_endpoints(x, intervals.endpoint_values())
     lo, hi = intervals.positive
     out = np.where(np.isnan(x), np.nan, 0.0)
     for sign in (1.0, -1.0):  # each branch forms its radicand once

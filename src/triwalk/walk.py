@@ -381,11 +381,11 @@ def _walk(
     return (_stepping if dense else _fourier_reads)(spin, protocol, times)
 
 
-def _check_steps(steps: int) -> int:
-    """``steps`` as an int; anything but a nonnegative integer is refused."""
+def _check_steps(steps: int, least: int = 0, what: str = "steps") -> int:
+    """``steps`` as an int; a non-integer, or one below ``least``, is refused as ``what``."""
     steps = operator.index(steps)
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    if steps < least:
+        raise ValueError(f"{what} must be at least {least}")
     return steps
 
 

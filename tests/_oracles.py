@@ -242,6 +242,66 @@ def json_table(config: dict, names: list[str], columns) -> str:
     return out.getvalue()
 
 
+def _gaussian(z: complex) -> tuple[int, int]:
+    """``z``, a complex with small integer parts, as a pair of Python ints."""
+    re, im = int(z.real), int(z.imag)
+    assert complex(re, im) == z, f"{z!r} is not a Gaussian integer"
+    return re, im
+
+
+def exact_walk(coins, spin, times):
+    """The walk of coins with entries in Q(i), exactly, in Python ints.
+
+    ``coins`` is one period of steps, each ``None`` for a bare shift or
+    ``(m, n)`` for the coin ``m / n``: ``m`` a 2x2 nested sequence of Gaussian
+    integers written as complex numbers (``4j``, ``3 - 4j``), ``n`` an int.
+    ``spin`` is ``((alpha, beta), n)`` the same way.  At each of the
+    increasing ``times`` it yields ``(t, re, im, den)``: the amplitudes at the
+    positions ``-t, -t + 2, .., t`` are ``(re + i im) / den``, with ``re`` and
+    ``im`` ``(2, t + 1)`` object arrays of ints and ``den`` the spin's ``n``
+    times that of every coin step so far.
+
+    A step applies its coin at every site, then moves spin 0 one site left
+    and spin 1 one site right.  So on the occupied sites at the next time,
+    spin 0 keeps its index and spin 1 moves up by one.
+    """
+    steps = []
+    for coin in coins:
+        if coin is not None:
+            m, n = coin
+            coin = [[_gaussian(e) for e in row] for row in m], n
+        steps.append(coin)
+    amplitudes, den = spin
+    (a_re, a_im), (b_re, b_im) = map(_gaussian, amplitudes)
+    re = np.array([[a_re], [b_re]], dtype=object)
+    im = np.array([[a_im], [b_im]], dtype=object)
+    t = 0
+    for target in times:
+        while t < target:
+            coin = steps[t % len(steps)]
+            if coin is not None:
+                m, n = coin
+                new_re, new_im = np.zeros_like(re), np.zeros_like(im)
+                for row in (0, 1):
+                    for col in (0, 1):
+                        p, q = m[row][col]  # (p + iq)(re + i im)
+                        if p:
+                            new_re[row] += p * re[col]
+                            new_im[row] += p * im[col]
+                        if q:
+                            new_re[row] -= q * im[col]
+                            new_im[row] += q * re[col]
+                re, im, den = new_re, new_im, den * n
+            shifted = []
+            for part in (re, im):
+                out = np.zeros((2, t + 2), dtype=object)
+                out[0, :-1], out[1, 1:] = part[0], part[1]
+                shifted.append(out)
+            re, im = shifted
+            t += 1
+        yield t, re, im, den
+
+
 def ks_with_points(ecdf, cdf, points):
     """KS distance between a step CDF and a continuous CDF, read at every
     atom from both sides and at the extra ``points`` (kinks of the

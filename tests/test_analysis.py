@@ -230,6 +230,23 @@ def test_moment_report_of_no_times_and_a_negative_time(pi4_model):
         moment_report(pi4_model, [99, -3])
 
 
+@pytest.mark.parametrize("time", [0, -3])
+@pytest.mark.parametrize(
+    "report",
+    [lambda model, t: moment_report(model, [99, t]), compare_walk],
+    ids=["moment_report", "compare_walk"],
+)
+def test_reports_refuse_a_time_below_one_before_reading(pi4_model, monkeypatch, report, time):
+    # Refused by the time check itself, not by a rescaling by 0 after the read.
+    def unread(*args):
+        raise AssertionError("the walk was read")
+
+    monkeypatch.setattr(triwalk.analysis, "evolve", unread)
+    monkeypatch.setattr(triwalk.analysis, "_distributions", unread)
+    with pytest.raises(ValueError, match="^time must be at least 1$"):
+        report(pi4_model, time)
+
+
 # T * dm_1 and T^2 * dm_2, dm_r the signed moment error, on one T ladder.
 # Gapped, they are constant: 0.26371 and 0.5347, gated at 1e-3 relative.
 # Gapless, they wander in -0.16267 .. -0.15550 and 1.4432 .. 1.5570 (as

@@ -345,6 +345,8 @@ def test_pushforward_total_mass(pi4_model, gap_model):
         for bins in (100, 400, 10**5):
             hist = pushforward_density(model, bins)
             assert hist.bin_width == 2.0 / bins
+            midpoints = -1.0 + (np.arange(bins) + 0.5) * (2.0 / bins)
+            assert np.max(np.abs(hist.centers - midpoints)) <= 1e-15
             assert abs(hist.total_mass() - 1.0) <= 1e-14
 
 
@@ -578,6 +580,17 @@ def test_cdf_is_exact_beyond_the_hull_and_monotone():
         assert np.all(cdf[xs <= -hull] == 0.0)
         assert np.all(cdf[xs >= hull] == 1.0)
         assert np.all(np.diff(cdf) >= 0.0)
+
+
+@pytest.mark.parametrize("theta", [0.3055476202671388, 0.1351539135338643])
+def test_cdf_is_exactly_zero_and_one_at_the_hull(theta):
+    # At these angles a_abs**2 and a_abs * a_abs differ by an ulp.  The table
+    # reads its ends from support_intervals, so the hull is not a point just
+    # inside the support, where the square-root edge would read ~1e-8 off.
+    model = LimitModel(rotation_coin(theta), InitialSpin(0.6, 0.8j))
+    assert model.a_abs**2 != model.a_abs * model.a_abs
+    lo, hi = support_intervals(model).hull
+    assert limit_cdf(model, [lo, hi]).tolist() == [0.0, 1.0]
 
 
 def _per_point(table, xs):

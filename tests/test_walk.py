@@ -1,4 +1,6 @@
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triwalk import (
+    CoinOperator,
     InitialSpin,
     PositionDistribution,
     StepProtocol,
@@ -41,6 +44,7 @@ from _oracles import (
     dense_evolve,
     dense_index,
     dense_step_operator,
+    exact_walk,
     fourier_product,
     random_safe_angle,
     random_spin,
@@ -312,6 +316,111 @@ def test_sparse_pass_reads_each_time_as_a_single_read():
             assert np.array_equal(amp, single)
 
 
+# Coins and spins with entries in Q(i), as exact_walk takes them: (m, n) is
+# m / n.  P5 and Q13 are real; the others are one of them times a diagonal
+# phase in {+-1, +-i}, or a complex Pythagorean coin.  Each protocol is read
+# at EXACT_TIMES up to its last time: the exact walk costs ~0.7-1.5 s to
+# T = 999 on a 2-vCPU VM, most for the protocols with a coin at every step,
+# and grows about as T^2.7 (13.7 s at T = 2,997 for "canonical").
+P5 = (((3, 4), (4, -3)), 5)
+Q13 = (((5, 12), (12, -5)), 13)
+IP5 = (((3j, 4j), (4, -3)), 5)  # diag(i, 1) P5; its closing coin is diag(1, -i)
+EXACT_PROTOCOLS = {
+    "period-1": ([Q13], ((3, 4j), 5), 300),
+    "period-2": ([P5, (((5, 12), (12j, -5j)), 13)], ((12j, 5), 13), 300),
+    "canonical": ([P5, P5, None], ((3, 4j), 5), 999),
+    "phased-canonical": ([IP5, IP5, (((1, 0), (0, -1j)), 1)], ((4, -3j), 5), 999),
+    "three-coin": (
+        [P5, (((5, 12j), (12j, 5)), 13), (((-3, -4), (4j, -3j)), 5)],
+        ((3, 4j), 5),
+        999,
+    ),
+}
+EXACT_TIMES = [0, 1, 2, 3, 4, 5, 17, 50, 99, 300, 998, 999]
+
+
+def _float_walk(name):
+    """The package's spin and protocol for ``EXACT_PROTOCOLS[name]``: each
+    entry rounded to a float, so they carry the coin's own rounding; the
+    canonical cycles come from ``canonical_protocol`` with its closing coin."""
+    coins, ((alpha, beta), n), _ = EXACT_PROTOCOLS[name]
+    steps = [
+        None if c is None else CoinOperator(np.array(c[0], dtype=complex) / c[1]) for c in coins
+    ]
+    if name.endswith("canonical"):
+        protocol = canonical_protocol(steps[0])
+        assert protocol.coins[2].is_identity() == (coins[2] is None)
+    else:
+        protocol = StepProtocol(tuple(steps))
+    return InitialSpin(alpha / n, beta / n), protocol
+
+
+@functools.cache
+def _exact_reads(name, times):
+    """``(t, amplitudes, probabilities, P, den)`` of ``exact_walk`` at each
+    of the tuple ``times``: the amplitudes and probabilities correctly
+    rounded from the exact ones, and ``P / den**2`` the exact probabilities,
+    ``P`` a list of ints."""
+    coins, spin, _ = EXACT_PROTOCOLS[name]
+    reads = []
+    for t, re, im, den in exact_walk(coins, spin, times):
+        amp = np.array(
+            [[complex(a / den, b / den) for a, b in zip(*parts)] for parts in zip(re, im)]
+        )
+        weight = (re * re + im * im).sum(axis=0).tolist()
+        prob = np.array([w / den**2 for w in weight])
+        reads.append((t, amp, prob, weight, den))
+    return reads
+
+
+def _exact_times(name):
+    return tuple(t for t in EXACT_TIMES if t <= EXACT_PROTOCOLS[name][2])
+
+
+# The bounds cover the rounding of the float coins and spins as well as the
+# kernels' own.  At the tier-1 times the largest errors measured are 1.34e-14
+# in amplitude and 4.6e-15 in probability (stepping, "three-coin", T = 999);
+# the FFT read's are 4.4e-15 and 5.1e-16.  At T = 2,997, "canonical" reads
+# 1.45e-14 stepped and 5.3e-15 by the FFT (README has the growth with T).
+EXACT_AMPLITUDE = 3e-14
+EXACT_PROBABILITY = 1e-14
+
+
+def check_kernels_against_the_exact_walk(name, times):
+    """Both kernels' reads of ``EXACT_PROTOCOLS[name]`` at the tuple
+    ``times`` against the exact walk, within ``EXACT_AMPLITUDE`` and
+    ``EXACT_PROBABILITY``.  CI runs it at T = 2,997."""
+    spin, protocol = _float_walk(name)
+    exact = _exact_reads(name, times)
+    for kernel in (_stepping, _fourier_reads):
+        reads = list(kernel(spin, protocol, list(times)))
+        assert [t for t, _ in reads] == list(times)
+        for (t, amp), (_, ref, prob, _, _) in zip(reads, exact):
+            assert np.max(np.abs(amp - ref)) <= EXACT_AMPLITUDE, (kernel.__name__, t)
+            p = np.sum(amp.real**2 + amp.imag**2, axis=0)
+            assert np.max(np.abs(p - prob)) <= EXACT_PROBABILITY, (kernel.__name__, t)
+
+
+@pytest.mark.parametrize("name", EXACT_PROTOCOLS)
+def test_both_kernels_read_the_exact_walk(name):
+    check_kernels_against_the_exact_walk(name, _exact_times(name))
+
+
+@pytest.mark.parametrize("name", ["canonical", "three-coin"])
+def test_empirical_moments_match_the_exact_moments(name):
+    # Orders 0..8 of x / t at t = 99 and 999 as Fractions of the exact walk,
+    # against empirical_moment of the package's own read: measured to within
+    # 2.2e-16, bound 5e-15.
+    spin, protocol = _float_walk(name)
+    exact = [read for read in _exact_reads(name, _exact_times(name)) if read[0] in (99, 999)]
+    dists = _distributions(spin, protocol, [t for t, *_ in exact])
+    for dist, (t, _, _, weight, den) in zip(dists, exact):
+        x = range(-t, t + 1, 2)
+        for r in range(9):
+            moment = Fraction(sum(w * xi**r for w, xi in zip(weight, x)), t**r * den**2)
+            assert abs(empirical_moment(dist, r, t) - moment) <= 5e-15, (t, r)
+
+
 def test_smooth_size_matches_a_brute_force_search():
     top = 20_000
     smooth = []
@@ -484,6 +593,7 @@ def test_canonical_protocol_of_rotation_matches_three_period():
 
 def test_distribution_positions_follow_parity():
     state = evolve(symmetric_spin(), three_period_protocol(0.9), 8)
+    assert state.positions().tolist() == list(range(-8, 9))
     dist = distribution(state)
     assert dist.positions.tolist() == list(range(-8, 9, 2))
 
