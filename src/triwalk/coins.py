@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,11 +46,15 @@ class CoinOperator:
         or ``"custom"``.
     params:
         Construction parameters (angles, phases) when applicable.
+    entries:
+        ``(a, b, c, d)`` as Python complex numbers, read once here; the
+        kernels read these, not ``matrix``.
     """
 
     matrix: np.ndarray
     kind: str = "custom"
     params: tuple[float, ...] = ()
+    entries: tuple[complex, complex, complex, complex] = field(init=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=np.complex128)
@@ -65,22 +69,23 @@ class CoinOperator:
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "entries", tuple(m.ravel().tolist()))
 
     @property
     def a(self) -> complex:
-        return complex(self.matrix[0, 0])
+        return self.entries[0]
 
     @property
     def b(self) -> complex:
-        return complex(self.matrix[0, 1])
+        return self.entries[1]
 
     @property
     def c(self) -> complex:
-        return complex(self.matrix[1, 0])
+        return self.entries[2]
 
     @property
     def d(self) -> complex:
-        return complex(self.matrix[1, 1])
+        return self.entries[3]
 
     def is_identity(self) -> bool:
         """True when applying this coin moves no amplitude at all."""
@@ -135,19 +140,16 @@ def general_coin(gamma: float, delta: float, xi: float, theta: float) -> CoinOpe
     ``R(theta)`` is the rotation coin.  Entrywise this is
     ``a = e^{i(gamma+xi)} cos(theta)``, ``b = e^{i(gamma-xi)} sin(theta)``,
     ``c = e^{i(delta+xi)} sin(theta)``, ``d = -e^{i(delta-xi)} cos(theta)``.
-    With all phases zero the result is bit-identical to
+    It is built entrywise: each phase scales one row or one column of
+    ``R(theta)`` and is never summed with another, so large phases keep it
+    unitary.  With all phases zero it is bit-identical to
     ``rotation_coin(theta)``.
     """
-    rot = _rotation(theta)
-    left = np.array(
-        [[cmath.exp(1j * gamma), 0.0], [0.0, cmath.exp(1j * delta)]],
-        dtype=np.complex128,
-    )
-    right = np.array(
-        [[cmath.exp(1j * xi), 0.0], [0.0, cmath.exp(-1j * xi)]],
-        dtype=np.complex128,
-    )
-    m = left @ rot @ right
+    m = _rotation(theta)
+    m[0] *= cmath.exp(1j * gamma)
+    m[1] *= cmath.exp(1j * delta)
+    m[:, 0] *= cmath.exp(1j * xi)
+    m[:, 1] *= cmath.exp(-1j * xi)
     return CoinOperator(
         m, kind="general", params=(float(gamma), float(delta), float(xi), float(theta))
     )

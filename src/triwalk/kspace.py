@@ -162,12 +162,8 @@ def eigen_system(coin: CoinOperator, k: float) -> EigenSystem:
     ValueError
         If the coin is not of rotation form, or ``k`` is out of range.
     """
-    m = coin.matrix
-    if (
-        np.abs(m.imag).max() > 1e-12
-        or abs(m[0, 1] - m[1, 0]) > 1e-12
-        or abs(m[0, 0] + m[1, 1]) > 1e-12
-    ):
+    a, b, c, d = coin.entries
+    if max(abs(e.imag) for e in coin.entries) > 1e-12 or abs(b - c) > 1e-12 or abs(a + d) > 1e-12:
         raise ValueError(
             "momentum-space branches need a rotation-form coin [[c, s], [s, -c]]"
         )
@@ -177,8 +173,7 @@ def eigen_system(coin: CoinOperator, k: float) -> EigenSystem:
         raise DegenerateQuasimomentum(
             "branches coincide at k = 0 and k = +-pi; stay away from them"
         )
-    c, s = float(m[0, 0].real), float(m[0, 1].real)
-    t = _tables(c, s, np.array([float(k)]))
+    t = _tables(a.real, b.real, np.array([float(k)]))
     a0, b0, cross0, root = (float(x[0]) for x in (t.a, t.b, t.cross, t.root))
     eigenvalues = np.array([a0 + 1j * root, a0 - 1j * root])
     # The second components are b +- root.  The one whose sign is opposite

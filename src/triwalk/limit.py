@@ -69,12 +69,11 @@ class LimitModel:
     effective_spin: tuple[complex, complex] = field(init=False)
 
     def __post_init__(self) -> None:
-        m = self.coin.matrix
-        if min(abs(complex(e)) for e in m.ravel()) <= 1e-12:
+        if min(map(abs, self.coin.entries)) <= 1e-12:
             raise DegenerateCoin(
                 "limit law requires every coin entry to be nonzero"
             )
-        a, b = complex(m[0, 0]), complex(m[0, 1])
+        a, b = self.coin.entries[:2]
         a_abs, b_abs = abs(a), abs(b)
         # Unitarity guarantees a_abs^2 + b_abs^2 = 1; keep a hard check so the
         # support formulas below cannot silently run outside their domain.

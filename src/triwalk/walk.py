@@ -168,9 +168,16 @@ class WalkState:
             raise ValueError("parity violated: amplitude on an odd sublattice site")
 
 
-def _coin(m: np.ndarray, x0: np.ndarray, x1: np.ndarray) -> None:
-    """Apply the coin matrix ``m`` in place to the spinor rows ``(x0, x1)``."""
-    x0[...], x1[...] = m[0, 0] * x0 + m[0, 1] * x1, m[1, 0] * x0 + m[1, 1] * x1
+def _mix(e: tuple, x0, x1) -> tuple:
+    """``(a x0 + b x1, c x0 + d x1)`` for the entries ``e = (a, b, c, d)`` of
+    a 2x2 matrix: the one place a coin, or a block of coins, acts."""
+    a, b, c, d = e
+    return a * x0 + b * x1, c * x0 + d * x1
+
+
+def _coin(e: tuple, x0: np.ndarray, x1: np.ndarray) -> None:
+    """Apply the coin entries ``e`` in place to the spinor rows ``(x0, x1)``."""
+    x0[...], x1[...] = _mix(e, x0, x1)
 
 
 def apply_coin(state: WalkState, coin: CoinOperator) -> WalkState:
@@ -178,7 +185,7 @@ def apply_coin(state: WalkState, coin: CoinOperator) -> WalkState:
     if coin.is_identity():
         return state
     out = state.amplitudes.copy()
-    _coin(coin.matrix, out[0], out[1])
+    _coin(coin.entries, out[0], out[1])
     return WalkState(state.t, out)
 
 
@@ -192,14 +199,14 @@ def step(state: WalkState, coin: CoinOperator) -> WalkState:
     out[0, :width] = state.amplitudes[0]  # spin-0 moves x -> x - 1
     out[1, 2:] = state.amplitudes[1]  # spin-1 moves x -> x + 1
     if not coin.is_identity():
-        _coin(coin.matrix, out[0, :width], out[1, 2:])
+        _coin(coin.entries, out[0, :width], out[1, 2:])
     return WalkState(state.t + 1, out)
 
 
 def _steps(protocol: StepProtocol) -> list:
-    """Each step's coin matrix in order, or ``None`` for an identity coin,
+    """Each step's coin entries in order, or ``None`` for an identity coin,
     which a step skips."""
-    return [None if c.is_identity() else c.matrix for c in protocol.coins]
+    return [None if c.is_identity() else c.entries for c in protocol.coins]
 
 
 def _stepping(
@@ -223,9 +230,9 @@ def _stepping(
     done = 0
     for t in times:
         for s in range(done, t):
-            m = coins[s % len(coins)]
-            if m is not None:
-                _coin(m, amp[0, : s + 1], amp[1, last - s :])
+            e = coins[s % len(coins)]
+            if e is not None:
+                _coin(e, amp[0, : s + 1], amp[1, last - s :])
         done = t
         yield t, np.stack((amp[0, : t + 1], amp[1, last - t :]))
 
@@ -284,15 +291,10 @@ def _block(coins: list, w: np.ndarray) -> tuple:
     identity step only multiplies ``c`` and ``d`` by ``w``.
     """
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    for m in coins:
-        if m is not None:
-            (m00, m01), (m10, m11) = m
-            a, b, c, d = (
-                m00 * a + m01 * c,
-                m00 * b + m01 * d,
-                m10 * a + m11 * c,
-                m10 * b + m11 * d,
-            )
+    for e in coins:
+        if e is not None:
+            a, c = _mix(e, a, c)
+            b, d = _mix(e, b, d)
         c, d = w * c, w * d
     return a, b, c, d
 
@@ -360,8 +362,7 @@ def _fourier_reads(
         if odd:
             vec *= roots[:n]
         if left:
-            a, b, c, d = _block(coins[:left], w)
-            vec[0], vec[1] = a * vec[0] + b * vec[1], c * vec[0] + d * vec[1]
+            vec[0], vec[1] = _mix(_block(coins[:left], w), vec[0], vec[1])
         x = np.fft.ifft(vec, axis=-1)
         x = np.concatenate((x[:, n - shift :], x[:, : n - shift]), axis=-1)
         yield t, x[:, : t + 1]

@@ -8,8 +8,10 @@ evolution is a real cross-check.
 
 from __future__ import annotations
 
+import cmath
 import io
 import json
+import math
 
 import numpy as np
 
@@ -71,6 +73,16 @@ def random_safe_angle(rng: np.random.Generator, low=0.05, margin=0.05) -> float:
         theta = rng.uniform(low, 2 * np.pi - low)
         if min(abs(theta - a) for a in (0.0, np.pi / 2, np.pi, 1.5 * np.pi, 2 * np.pi)) > margin:
             return theta
+
+
+def general_coin_matrix(gamma, delta, xi, theta) -> np.ndarray:
+    """``diag(e^{i gamma}, e^{i delta}) @ R(theta) @ diag(e^{i xi}, e^{-i xi})``
+    by two matmuls, the definition that ``general_coin`` builds entrywise."""
+    c, s = math.cos(theta), math.sin(theta)
+    rotation = np.array([[c, s], [s, -c]], dtype=complex)
+    left = np.diag([cmath.exp(1j * gamma), cmath.exp(1j * delta)])
+    right = np.diag([cmath.exp(1j * xi), cmath.exp(-1j * xi)])
+    return left @ rotation @ right
 
 
 def cdf_by_quadrature(model, points) -> np.ndarray:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import general_coin_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,6 +85,25 @@ def test_general_matches_stated_entry_formulas():
     assert coin.b == pytest.approx(np.exp(1j * (gamma - xi)) * s, abs=1e-14)
     assert coin.c == pytest.approx(np.exp(1j * (delta + xi)) * s, abs=1e-14)
     assert coin.d == pytest.approx(-np.exp(1j * (delta - xi)) * c, abs=1e-14)
+
+    # bit for bit the matmul definition, at phases up to 1e3 and at 2^53,
+    # where summed phases (gamma + xi) broke unitarity
+    rng = np.random.default_rng(28)
+    params = [(*rng.uniform(-1e3, 1e3, 3), rng.uniform(0.01, 3.1)) for _ in range(1500)]
+    params += [(*rng.uniform(-math.pi, math.pi, 3), rng.uniform(0.01, 3.1)) for _ in range(500)]
+    params += [(1.0, 2.0**53, 1.0, 1.0), (2.0**53, -(2.0**53), 2.0**53, 2.0), (0.0, 0.0, 1e3, 0.3)]
+    for p in params:
+        m = general_coin(*p).matrix
+        assert m.tobytes() == general_coin_matrix(*p).tobytes(), p
+        assert np.abs(m.conj().T @ m - np.eye(2)).max() <= 1e-12, p
+
+    # a..d are the matrix's entries, bit for bit, whatever built the coin
+    swap = CoinOperator(np.array([[0.0, 1.0j], [-1.0j, 0.0]]))
+    built = [rotation_coin(theta), coin, identity_coin(), closing_coin(coin), swap]
+    for each in built:
+        read = np.array([each.a, each.b, each.c, each.d])
+        assert read.tobytes() == np.array([complex(e) for e in each.matrix.ravel()]).tobytes()
+        assert all(type(e) is complex for e in (each.a, each.b, each.c, each.d))
 
 
 @settings(max_examples=200, deadline=None)
