@@ -17,6 +17,8 @@ def test_two_trees_load_apart_and_the_interval_finds_a_shift(tmp_path, monkeypat
     ab = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "ab", ab)  # its dataclass looks its module up
     spec.loader.exec_module(ab)
+    for tag in ("copy", "tree"):  # load_tree registers these; drop them after the test
+        monkeypatch.setitem(sys.modules, f"_ab_workloads_{tag}", None)
     copy = tmp_path / "copy"
     shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
     (copy / "bench").mkdir()

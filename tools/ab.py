@@ -1,6 +1,6 @@
 """Parent against change in one process: the benchmark's workloads, interleaved.
 
-    python tools/ab.py [--rev REV] [--rounds N] [--seed S] [--smoke]
+    python tools/ab.py [--rev REV] [--smoke]
 
 Exports ``REV`` (default ``HEAD``) with ``git archive`` into a temporary
 directory, removed on exit, and compares it (the parent) with the working
@@ -11,11 +11,11 @@ of fresh ``bench/run.py`` processes cannot tell a change below ~20% from
 that load; batches interleaved in one process can.
 
 Each workload both trees define first runs one untimed batch per tree,
-then one more under ``tracemalloc`` for its peak.  Each of ``--rounds``
-rounds (default 80) then times one fixed batch of every workload on each
-tree, unit by unit, with the tree that goes first alternating between
-rounds.  Every batch's outputs go through its tree's ``check``, untimed;
-a failed check or a raising unit ends the run with exit status 1.
+then one more under ``tracemalloc`` for its peak.  Each of 80 rounds
+then times one fixed batch of every workload on each tree, unit by unit,
+with the tree that goes first alternating between rounds.  Every batch's
+outputs go through its tree's ``check``, untimed; a failed check or a
+raising unit ends the run with exit status 1.
 
 Per workload it prints the parent's median batch time and, change over
 parent (below 1 is faster):
@@ -27,8 +27,11 @@ parent (below 1 is faster):
 
 Read the interval first: on a shared machine a minimum follows the few
 fastest samples, so the minima's ratio can stray by several percent when
-the interval does not.  It prints the ``import triwalk`` time of each tree
-once, the median of 7 ``python -X importtime`` runs.  ``--smoke`` uses
+the interval does not.  The interval is not yet a regression rule: a
+tree compared with itself read above 1 in 4 of 66 workload runs on a
+shared 2-vCPU VM, about the nominal 1 in 20, so one run's interval just
+past 1 is not a regression by itself.  Import time is not compared:
+``bench/run.py`` puts it in ``setup_s``.  ``--smoke`` uses
 ``workloads.SMOKE`` sizes and 4 rounds.
 """
 
@@ -53,7 +56,7 @@ from types import ModuleType
 ROOT = Path(__file__).resolve().parents[1]
 ROUNDS = 80
 SMOKE_ROUNDS = 4
-IMPORT_SAMPLES = 7
+SEED = 1  # the workloads' inputs and the bootstrap's resamples
 RESAMPLES = 2000
 
 
@@ -166,22 +169,6 @@ def peak_bytes(run: Runner) -> int:
     return run.peak
 
 
-_IMPORT_CODE = "import sys; sys.path.insert(0, sys.argv[1]); import triwalk"
-
-
-def import_seconds(tree: Tree) -> float:
-    """``import triwalk``'s cumulative time from one ``python -X importtime``."""
-    out = subprocess.run(
-        [sys.executable, "-I", "-X", "importtime", "-c", _IMPORT_CODE, str(tree.root / "src")],
-        capture_output=True, text=True, check=True, timeout=60,
-    )
-    for line in out.stderr.splitlines():
-        fields = line.split("|")
-        if len(fields) == 3 and fields[2].strip() == "triwalk":
-            return int(fields[1]) * 1e-6
-    raise RuntimeError(f"{tree.tag}: no triwalk line in -X importtime output")
-
-
 def summarize(times: list[list[list[float]]], seed: int) -> dict:
     """Ratios, change over parent, from each tree's per-unit seconds of each
     round; round ``2i`` ran the parent first and round ``2i + 1`` the change.
@@ -206,7 +193,7 @@ def summarize(times: list[list[list[float]]], seed: int) -> dict:
     }
 
 
-def compare(trees: tuple[Tree, Tree], rounds: int, seed: int, smoke: bool,
+def compare(trees: tuple[Tree, Tree], rounds: int, smoke: bool,
             workdir: Path) -> dict[str, dict]:
     """Each workload both trees define: its :func:`summarize` and each tree's
     peak bytes.  A round runs every workload in turn, so each workload's
@@ -214,7 +201,7 @@ def compare(trees: tuple[Tree, Tree], rounds: int, seed: int, smoke: bool,
     spells alike."""
     names = [n for n in trees[1].workloads.WORKLOADS if n in trees[0].workloads.WORKLOADS]
     runs = {
-        n: [Runner(t, n, seed, smoke, workdir / "out" / t.tag / n) for t in trees] for n in names
+        n: [Runner(t, n, SEED, smoke, workdir / "out" / t.tag / n) for t in trees] for n in names
     }
     peaks = {}
     for name, pair in runs.items():
@@ -226,38 +213,26 @@ def compare(trees: tuple[Tree, Tree], rounds: int, seed: int, smoke: bool,
         for name, pair in runs.items():
             for side in (0, 1) if r % 2 == 0 else (1, 0):
                 times[name][side].append(pair[side]())
-    return {name: {**summarize(times[name], seed), "peaks": peaks[name]} for name in names}
+    return {name: {**summarize(times[name], SEED), "peaks": peaks[name]} for name in names}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", default="HEAD", help="the parent revision (default HEAD)")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help=f"default {ROUNDS}, {SMOKE_ROUNDS} with --smoke")
-    parser.add_argument("--seed", type=int, default=1, help="workload and bootstrap seed")
     parser.add_argument("--smoke", action="store_true", help="SMOKE sizes and few rounds")
     args = parser.parse_args(argv)
-    rounds = args.rounds or (SMOKE_ROUNDS if args.smoke else ROUNDS)
-    if rounds < 2 or rounds % 2:
-        parser.error("--rounds must be even and at least 2")
+    rounds = SMOKE_ROUNDS if args.smoke else ROUNDS
     # a kill by `timeout` unwinds too, so the temporary directory goes
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     with tempfile.TemporaryDirectory(prefix="triwalk-ab-") as tmp:
         workdir = Path(tmp)
         trees = (load_tree(export(args.rev, workdir / "parent"), "parent"),
                  load_tree(ROOT, "change"))
-        imports: list[list[float]] = [[], []]
-        for _ in range(IMPORT_SAMPLES):
-            for side, tree in enumerate(trees):
-                imports[side].append(import_seconds(tree))
-        ms = [1e3 * statistics.median(samples) for samples in imports]
         print(f"ab: {args.rev} (parent) against the working tree (change), {rounds} rounds;"
               " ratios are change over parent")
-        print(f"import triwalk: parent {ms[0]:.1f} ms, change {ms[1]:.1f} ms, "
-              f"ratio {ms[1] / ms[0]:.3f}")
         print(f"{'workload':<12} {'parent ms':>9} {'unit-min':>8} {'pairs':>6}  "
               f"{'95% interval':<16} {'peak MB parent':>14} {'change':>7}")
-        for name, res in compare(trees, rounds, args.seed, args.smoke, workdir).items():
+        for name, res in compare(trees, rounds, args.smoke, workdir).items():
             lo, hi = res["interval"]
             mb = [p / 2**20 for p in res["peaks"]]
             print(f"{name:<12} {1e3 * res['parent_s']:>9.2f} {res['unit_min']:>8.3f} "
