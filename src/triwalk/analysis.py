@@ -10,7 +10,7 @@ the forbidden gap, mirror asymmetry, and moment-error sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,11 +30,8 @@ from .walk import (
 )
 
 __all__ = [
-    "EmpiricalCdf",
     "ComparisonReport",
     "MomentErrors",
-    "empirical_cdf",
-    "ks_statistic",
     "ks_distance",
     "gap_mass",
     "mirror_asymmetry",
@@ -50,100 +47,39 @@ __all__ = [
 GAP_MARGIN = 0.01
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalCdf:
-    """Right-continuous step CDF of a rescaled lattice distribution."""
+def ks_distance(dist: PositionDistribution, scale: float, model: LimitModel) -> float:
+    """KS distance between the rescaled position ``X/scale`` and the limit law.
 
-    values: np.ndarray
-    cumulative: np.ndarray
-    scale: float
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        cum = np.asarray(self.cumulative, dtype=np.float64)
-        if vals.shape != cum.shape or vals.ndim != 1:
-            raise ValueError("values and cumulative must be matching 1-d arrays")
-        if np.any(np.diff(cum) < 0):
-            raise ValueError("cumulative must be nondecreasing")
-        if cum.size and abs(cum[-1] - 1.0) > 1e-10:
-            raise ValueError(f"cumulative must end at 1, got {cum[-1]!r}")
-        vals.setflags(write=False)
-        cum.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "cumulative", cum)
-
-    def at(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.values, x, side="right")
-        padded = np.concatenate(([0.0], self.cumulative))
-        return padded[idx]
-
-
-def empirical_cdf(dist: PositionDistribution, scale: float) -> EmpiricalCdf:
-    scale = _check_scale(scale)
-    return EmpiricalCdf(
-        values=dist.positions / scale,
-        cumulative=np.cumsum(dist.probabilities),
-        scale=scale,
-    )
-
-
-def _sup_distance(cum: np.ndarray, reference: np.ndarray) -> float:
-    """``max |C - F|`` over both one-sided limits at every atom: the step CDF
-    ``cum`` after each atom and the one before it, ``0`` before the first."""
+    Exact to rounding: :func:`~triwalk.kspace.limit_cdf` is.  The step CDF
+    ``C`` of ``X/scale`` is read against the limit CDF ``F`` from both
+    sides of every atom: ``C`` after each atom, and the one before it, ``0``
+    before the first.  Between atoms ``F`` is nondecreasing, so on each flat
+    piece of ``C`` the distance is largest at the piece's ends, which those
+    two one-sided reads already take: no point between atoms, and no
+    support endpoint, can raise the supremum (Durbin, *Distribution Theory
+    for Tests Based on the Sample Distribution Function*, SIAM 1973).
+    Rounding keeps this, as ``fl(C - F)`` is monotone in ``F``.  Only past
+    the last atom can a point add ``|1 - C_last|``, a rounding residue, and
+    at ``scale = t`` the last atom is ``1``, past every endpoint.
+    """
+    reference = limit_cdf(model, dist.positions / _check_scale(scale))
+    cum = np.cumsum(dist.probabilities)
     upper = np.max(np.abs(cum - reference))
     lower = np.max(np.abs(cum[:-1] - reference[1:]), initial=abs(reference[0]))
     return float(max(upper, lower))
 
 
-def ks_statistic(ecdf: EmpiricalCdf, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Sup-distance between a step CDF and a continuous CDF.
-
-    Both one-sided limits at every jump are checked.  Between jumps the
-    continuous CDF is nondecreasing, so on each flat piece of the step CDF
-    the distance is largest at the piece's ends, which the one-sided
-    limits at its two atoms already read: no point between atoms can raise
-    the supremum (Durbin, *Distribution Theory for Tests Based on the
-    Sample Distribution Function*, SIAM 1973).  Rounding keeps this, as
-    ``fl(C - F)`` is monotone in ``F``.  Only past the last atom can a
-    point add ``|1 - C_last|``, a rounding residue.
-    """
-    reference = np.asarray(cdf(ecdf.values), dtype=np.float64)
-    return _sup_distance(ecdf.cumulative, reference)
-
-
-def ks_distance(dist: PositionDistribution, scale: float, model: LimitModel) -> float:
-    """KS distance between the rescaled position ``X/scale`` and the limit law.
-
-    Exact to rounding: :func:`~triwalk.kspace.limit_cdf` is.  The limit CDF
-    is read at the atoms only: it is nondecreasing, so no support endpoint
-    between two atoms can raise the supremum (see :func:`ks_statistic`).
-    An endpoint past the last atom could add only ``|1 - C_last|``, a
-    rounding residue, and at ``scale = t`` the last atom is ``1``, past
-    every endpoint.  ``dist`` is already checked, so the cumulative sum of
-    its probabilities is compared with the limit CDF directly, with the
-    bits of ``ks_statistic(empirical_cdf(dist, scale), ...)``.
-    """
-    reference = limit_cdf(model, dist.positions / _check_scale(scale))
-    return _sup_distance(np.cumsum(dist.probabilities), reference)
-
-
-def gap_mass(
-    dist: PositionDistribution,
-    scale: float,
-    model: LimitModel,
-    *,
-    margin: float = GAP_MARGIN,
-) -> float:
+def gap_mass(dist: PositionDistribution, scale: float, model: LimitModel) -> float:
     """Probability the rescaled walker sits inside the forbidden gap.
 
-    Counts mass at ``|x/scale| <= gap_edge - margin``.  Raises
+    Counts mass at ``|x/scale| <= gap_edge - GAP_MARGIN``.  Raises
     :class:`NoGap` when the support has no gap around the origin.
     """
     scale = _check_scale(scale)
     gap = support_intervals(model).gap
     if gap is None:
         raise NoGap("support branches overlap at the origin; there is no gap")
-    cut = gap[1] - margin
+    cut = gap[1] - GAP_MARGIN
     y = np.abs(dist.positions / scale)
     return float(np.sum(dist.probabilities[y <= cut]))
 

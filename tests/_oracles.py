@@ -314,20 +314,22 @@ def exact_walk(coins, spin, times):
         yield t, re, im, den
 
 
-def ks_with_points(ecdf, cdf, points):
-    """KS distance between a step CDF and a continuous CDF, read at every
-    atom from both sides and at the extra ``points`` (kinks of the
-    continuous CDF, typically support endpoints): the endpoint-inclusive
-    form that ``analysis.ks_statistic``'s atoms-only read must equal."""
-    reference = np.asarray(cdf(ecdf.values), dtype=np.float64)
-    upper = ecdf.cumulative
-    lower = np.concatenate(([0.0], ecdf.cumulative[:-1]))
+def ks_with_points(dist, scale, cdf, points):
+    """KS distance between the step CDF of ``dist.positions / scale`` and a
+    continuous CDF, read at every atom from both sides and at the extra
+    ``points`` (kinks of the continuous CDF, typically support endpoints):
+    the endpoint-inclusive form that ``analysis.ks_distance``'s atoms-only
+    read must equal.  The step CDF is built here: a cumulative sum after a
+    leading 0, read at ``points`` by binary search."""
+    values = dist.positions / scale
+    step = np.concatenate(([0.0], np.cumsum(dist.probabilities)))
+    reference = np.asarray(cdf(values), dtype=np.float64)
     pts = np.asarray(points, dtype=np.float64)
-    at_points = np.abs(ecdf.at(pts) - np.asarray(cdf(pts), dtype=np.float64))
+    at_points = step[np.searchsorted(values, pts, side="right")]
     return float(
         max(
-            np.max(np.abs(upper - reference)),
-            np.max(np.abs(lower - reference)),
-            np.max(at_points),
+            np.max(np.abs(step[1:] - reference)),
+            np.max(np.abs(step[:-1] - reference)),
+            np.max(np.abs(at_points - np.asarray(cdf(pts), dtype=np.float64))),
         )
     )

@@ -36,7 +36,8 @@ def test_two_trees_load_apart_and_the_interval_finds_a_shift(tmp_path, monkeypat
         results.append((state.amplitudes.tobytes(), repr(tw.compare_walk(model, 60))))
     assert results[0] == results[1]
     for tree in trees:  # one checked smoke batch each
-        assert len(ab.Runner(tree, "angle-scan", 1, True, tmp_path / "out" / tree.tag)()) == 2
+        run = ab.Runner(tree, "angle-scan", 1, True, tmp_path / "out" / tree.tag)
+        assert len(run()) == 2 and run.faults >= 0
 
     assert ab.bootstrap_interval([1.0] * 40) == (1.0, 1.0)
     rounds = [[0.1, 0.2], [0.3, 0.1], [0.2, 0.2], [0.1, 0.4]]  # per round, per unit

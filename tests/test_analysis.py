@@ -6,7 +6,6 @@ import pytest
 import triwalk.analysis
 from triwalk import (
     CoinOperator,
-    EmpiricalCdf,
     InitialSpin,
     LimitModel,
     NoGap,
@@ -15,13 +14,11 @@ from triwalk import (
     compare_distribution,
     compare_walk,
     distribution,
-    empirical_cdf,
     empirical_moment,
     evolve,
     gap_mass,
     general_coin,
     ks_distance,
-    ks_statistic,
     kspace_moment,
     limit_cdf,
     mirror_asymmetry,
@@ -47,28 +44,6 @@ def lattice_dist(mapping: dict[int, float], t: int | None = None) -> PositionDis
     )
 
 
-def test_empirical_cdf_basic():
-    ecdf = empirical_cdf(lattice_dist({-1: 0.5, 1: 0.5}), 1.0)
-    assert ecdf.values.tolist() == [-1.0, 1.0]
-    assert ecdf.cumulative.tolist() == [0.5, 1.0]
-    assert ecdf.at(np.array([-2.0, -1.0, 0.0, 1.0])).tolist() == [0.0, 0.5, 0.5, 1.0]
-
-
-def test_ks_statistic_two_point_versus_uniform():
-    ecdf = empirical_cdf(lattice_dist({-1: 0.5, 1: 0.5}), 1.0)
-    uniform = lambda xs: np.clip((np.asarray(xs) + 1.0) / 2.0, 0.0, 1.0)
-    assert ks_statistic(ecdf, uniform) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_ks_statistic_perfect_match_is_jump_size():
-    # a discretisation of its own reference CDF: distance = largest increment
-    uniform = lambda xs: np.clip((np.asarray(xs) + 1.0) / 2.0, 0.0, 1.0)
-    xs = np.linspace(-1, 1, 21)
-    probs = np.diff(uniform(xs))
-    ecdf = EmpiricalCdf(values=xs[1:], cumulative=np.cumsum(probs), scale=1.0)
-    assert ks_statistic(ecdf, uniform) == pytest.approx(0.05, abs=1e-12)
-
-
 def test_ks_distance_invariant_under_zero_probability_entries(pi4_model):
     dist = distribution(evolve(symmetric_spin(), three_period_protocol(math.pi / 4), 30))
     base = ks_distance(dist, 30, pi4_model)
@@ -81,15 +56,15 @@ def test_ks_distance_invariant_under_zero_probability_entries(pi4_model):
 
 
 def test_ks_self_discretisation_of_limit_law(pi4_model):
-    # Discretise the limit law itself onto a fine lattice; the KS distance
-    # collapses to the largest single increment.
-    ys = np.linspace(-1.0, 1.0, 1_000_001)
-    cdf_vals = limit_cdf(pi4_model, ys)
-    probs = np.diff(cdf_vals)
-    probs = probs / probs.sum()
-    ecdf = EmpiricalCdf(values=ys[1:], cumulative=np.cumsum(probs), scale=1.0)
-    distance = ks_statistic(ecdf, lambda xs: limit_cdf(pi4_model, xs))
+    # Discretise the limit law itself onto a fine lattice, each cell's mass
+    # on its right end; the KS distance collapses to the largest single
+    # increment, read just before its atom.
+    xs = np.arange(-1_000_000, 1_000_001, 2)
+    probs = np.diff(limit_cdf(pi4_model, xs / 1e6))
+    dist = PositionDistribution(positions=xs[1:], probabilities=probs / probs.sum(), t=10**6)
+    distance = ks_distance(dist, 1e6, pi4_model)
     assert distance < 1e-3
+    assert distance == pytest.approx(dist.probabilities.max(), abs=1e-9)
 
 
 def test_gap_mass_requires_a_gap(pi4_model, gap_model):
@@ -159,9 +134,9 @@ def test_ks_distance_is_exact(pi4_model, gap_model):
 
     for model in (pi4_model, gap_model):
         dist = distribution(evolve(model.spin, canonical_protocol(model.coin), 99))
-        ecdf = empirical_cdf(dist, 99)
         exact = ks_with_points(
-            ecdf,
+            dist,
+            99,
             lambda xs: cdf_by_quadrature(model, xs),
             support_intervals(model).endpoint_values(),
         )
@@ -361,7 +336,6 @@ def test_general_coin_walk_converges_to_its_limit_law():
 def test_scale_must_be_positive_and_finite(gap_model, scale):
     dist = lattice_dist({-1: 0.5, 1: 0.5})
     for call in (
-        lambda: empirical_cdf(dist, scale),
         lambda: ks_distance(dist, scale, gap_model),
         lambda: empirical_moment(dist, 2, scale),
         lambda: gap_mass(dist, scale, gap_model),
@@ -373,15 +347,23 @@ def test_scale_must_be_positive_and_finite(gap_model, scale):
 def test_ks_distance_is_the_per_point_read_bit_for_bit(pi4_model, gap_model):
     from _oracles import ks_with_points
 
+    # The walks at T = 98, 99, and the two-point law, whose distance 1/2 is
+    # read after its first atom and before its second.
+    two_point = lattice_dist({-1: 0.5, 1: 0.5})
     for model in (pi4_model, gap_model):
-        for t in (98, 99):
-            dist = distribution(evolve(model.spin, canonical_protocol(model.coin), t))
+        walks = [
+            (distribution(evolve(model.spin, canonical_protocol(model.coin), t)), t)
+            for t in (98, 99)
+        ]
+        for dist, scale in (*walks, (two_point, 1.0), (two_point, 2.0)):
             per_point = ks_with_points(
-                empirical_cdf(dist, t),
+                dist,
+                scale,
                 lambda xs: np.array([limit_cdf(model, float(x)) for x in xs]),
                 support_intervals(model).endpoint_values(),
             )
-            assert ks_distance(dist, t, model) == per_point
+            assert ks_distance(dist, scale, model) == per_point
+    assert ks_distance(two_point, 1.0, gap_model) == 0.5
 
 
 def _ks_models():
@@ -415,6 +397,6 @@ def test_ks_at_the_atoms_is_ks_with_the_support_endpoints():
         endpoints = support_intervals(model).endpoint_values()
         for dist in _distributions(model.spin, protocol, [9, 30, 297, 999]):
             with_endpoints = ks_with_points(
-                empirical_cdf(dist, dist.t), lambda xs: limit_cdf(model, xs), endpoints
+                dist, dist.t, lambda xs: limit_cdf(model, xs), endpoints
             )
             assert ks_distance(dist, dist.t, model) == with_endpoints

@@ -23,14 +23,18 @@ parent (below 1 is faster):
 - the ratio of the per-unit minima over all rounds, summed over the batch;
 - the median ratio of the pairs of rounds (:func:`summarize`), with a
   seeded bootstrap 95% interval;
-- each tree's tracemalloc peak for one batch.
+- each tree's tracemalloc peak for one batch, and its median count of
+  minor page faults over the timed units of a batch (``ru_minflt``).
 
 Read the interval first: on a shared machine a minimum follows the few
 fastest samples, so the minima's ratio can stray by several percent when
-the interval does not.  The interval is not yet a regression rule: a
-tree compared with itself read above 1 in 4 of 66 workload runs on a
-shared 2-vCPU VM, about the nominal 1 in 20, so one run's interval just
-past 1 is not a regression by itself.  Import time is not compared:
+the interval does not.  The page faults show the heap beneath a lean or
+a spread: a batch that takes fresh pages from the kernel pays for each
+fault, and how many it takes follows glibc's heap state, not only the
+code.  The interval is not yet a regression rule: a tree compared with
+itself read above 1 in 4 of 66 workload runs on a shared 2-vCPU VM,
+about the nominal 1 in 20, so one run's interval just past 1 is not a
+regression by itself.  Import time is not compared:
 ``bench/run.py`` puts it in ``setup_s``.  ``--smoke`` uses
 ``workloads.SMOKE`` sizes and 4 rounds.
 """
@@ -42,6 +46,7 @@ import gc
 import importlib
 import importlib.util
 import random
+import resource
 import signal
 import statistics
 import subprocess
@@ -129,6 +134,7 @@ def bootstrap_interval(ratios, seed: int = 0, level: float = 0.95) -> tuple[floa
 class Runner:
     """One tree's instance of one workload; each call runs a fresh batch.
 
+    ``faults`` is the process's minor page faults while the units ran.
     Under ``tracemalloc``, ``peak`` is the traced peak while the units ran.
     """
 
@@ -147,10 +153,12 @@ class Runner:
         gc.collect()
         tracemalloc.reset_peak()
         seconds, outputs = [], []
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for unit in units:
             start = time.perf_counter()
             outputs.append(unit())
             seconds.append(time.perf_counter() - start)
+        self.faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         self.peak = tracemalloc.get_traced_memory()[1]
         for index, output in enumerate(outputs):
             error = self.workload.check(inputs, index, output)
@@ -195,10 +203,10 @@ def summarize(times: list[list[list[float]]], seed: int) -> dict:
 
 def compare(trees: tuple[Tree, Tree], rounds: int, smoke: bool,
             workdir: Path) -> dict[str, dict]:
-    """Each workload both trees define: its :func:`summarize` and each tree's
-    peak bytes.  A round runs every workload in turn, so each workload's
-    batches spread over the whole run and meet the machine's slow and fast
-    spells alike."""
+    """Each workload both trees define: its :func:`summarize`, each tree's
+    peak bytes and each tree's median minor page faults per timed batch.
+    A round runs every workload in turn, so each workload's batches spread
+    over the whole run and meet the machine's slow and fast spells alike."""
     names = [n for n in trees[1].workloads.WORKLOADS if n in trees[0].workloads.WORKLOADS]
     runs = {
         n: [Runner(t, n, SEED, smoke, workdir / "out" / t.tag / n) for t in trees] for n in names
@@ -209,11 +217,20 @@ def compare(trees: tuple[Tree, Tree], rounds: int, smoke: bool,
             run()  # lazy set-up and first-use caches stay out of the timed rounds
         peaks[name] = [peak_bytes(run) for run in pair]
     times = {name: ([], []) for name in names}
+    faults = {name: ([], []) for name in names}
     for r in range(rounds):
         for name, pair in runs.items():
             for side in (0, 1) if r % 2 == 0 else (1, 0):
                 times[name][side].append(pair[side]())
-    return {name: {**summarize(times[name], SEED), "peaks": peaks[name]} for name in names}
+                faults[name][side].append(pair[side].faults)
+    return {
+        name: {
+            **summarize(times[name], SEED),
+            "peaks": peaks[name],
+            "faults": [statistics.median(side) for side in faults[name]],
+        }
+        for name in names
+    }
 
 
 def main(argv=None) -> int:
@@ -231,12 +248,15 @@ def main(argv=None) -> int:
         print(f"ab: {args.rev} (parent) against the working tree (change), {rounds} rounds;"
               " ratios are change over parent")
         print(f"{'workload':<12} {'parent ms':>9} {'unit-min':>8} {'pairs':>6}  "
-              f"{'95% interval':<16} {'peak MB parent':>14} {'change':>7}")
+              f"{'95% interval':<16} {'peak MB parent':>14} {'change':>7} "
+              f"{'faults parent':>13} {'change':>7}")
         for name, res in compare(trees, rounds, args.smoke, workdir).items():
             lo, hi = res["interval"]
             mb = [p / 2**20 for p in res["peaks"]]
+            faults = res["faults"]
             print(f"{name:<12} {1e3 * res['parent_s']:>9.2f} {res['unit_min']:>8.3f} "
-                  f"{res['pairs']:>6.3f}  [{lo:.3f}, {hi:.3f}]   {mb[0]:>14.2f} {mb[1]:>7.2f}")
+                  f"{res['pairs']:>6.3f}  [{lo:.3f}, {hi:.3f}]   {mb[0]:>14.2f} {mb[1]:>7.2f} "
+                  f"{faults[0]:>13g} {faults[1]:>7g}")
     return 0
 
 
