@@ -44,6 +44,42 @@ def lattice_dist(mapping: dict[int, float], t: int | None = None) -> PositionDis
     )
 
 
+def _uniform(xs):
+    return np.clip((np.asarray(xs, dtype=np.float64) + 1.0) / 2.0, 0.0, 1.0)
+
+
+def test_ks_with_points_two_point_versus_uniform():
+    # The oracle's step CDF of {-1: 1/2, 1: 1/2} is 0, 1/2, 1 on the three
+    # pieces: 1/2 off the uniform law after -1 and before 1, 0 at the origin.
+    from _oracles import ks_with_points
+
+    two_point = lattice_dist({-1: 0.5, 1: 0.5})
+    assert ks_with_points(two_point, 1.0, _uniform, [0.0]) == 0.5
+    assert ks_with_points(two_point, 2.0, _uniform, [0.0]) == 0.25
+
+
+def test_ks_with_points_perfect_match_is_jump_size():
+    # A discretisation of its own reference CDF: the distance is the largest
+    # increment, read just before its atom.
+    from _oracles import ks_with_points
+
+    xs = np.arange(-10, 11, 1)
+    probs = np.diff(_uniform(xs / 10))
+    dist = PositionDistribution(positions=xs[1:], probabilities=probs, t=10)
+    assert ks_with_points(dist, 10, _uniform, [-1.0, 1.0]) == pytest.approx(0.05, abs=1e-12)
+
+
+@pytest.mark.parametrize("first", [0.3, 0.7])
+def test_ks_distance_reads_each_one_sided_limit(gap_model, pi4_model, first):
+    # Two atoms at the support's ends, where the limit CDF is 0 and 1: with
+    # the larger mass first the distance is read after -1, with it second,
+    # only before 1.
+    dist = lattice_dist({-1: first, 1: 1.0 - first})
+    for model in (gap_model, pi4_model):
+        assert limit_cdf(model, np.array([-1.0, 1.0])).tolist() == [0.0, 1.0]
+        assert ks_distance(dist, 1.0, model) == pytest.approx(max(first, 1.0 - first), abs=1e-15)
+
+
 def test_ks_distance_invariant_under_zero_probability_entries(pi4_model):
     dist = distribution(evolve(symmetric_spin(), three_period_protocol(math.pi / 4), 30))
     base = ks_distance(dist, 30, pi4_model)
