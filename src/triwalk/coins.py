@@ -30,8 +30,6 @@ __all__ = [
 ANGLE_TOLERANCE = 1e-9
 UNITARITY_TOLERANCE = 1e-12
 
-_IDENTITY = np.eye(2, dtype=np.complex128)
-
 
 @dataclass(frozen=True, eq=False)
 class CoinOperator:
@@ -62,14 +60,15 @@ class CoinOperator:
             raise ValueError(f"coin matrix must be 2x2, got shape {m.shape}")
         if not np.all(np.isfinite(m.view(np.float64))):
             raise ValueError("coin matrix entries must be finite")
-        deviation = np.abs(m.conj().T @ m - _IDENTITY).max()
+        entries = tuple(m.ravel().tolist())
+        deviation = _deviation(*entries)
         if deviation > UNITARITY_TOLERANCE:
             raise ValueError(
                 f"coin matrix is not unitary (deviation {deviation:.3e})"
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "entries", tuple(m.ravel().tolist()))
+        object.__setattr__(self, "entries", entries)
 
     @property
     def a(self) -> complex:
@@ -89,9 +88,7 @@ class CoinOperator:
 
     def is_identity(self) -> bool:
         """True when applying this coin moves no amplitude at all."""
-        return self.kind == "identity" or bool(
-            np.array_equal(self.matrix, _IDENTITY)
-        )
+        return self.entries == (1, 0, 0, 1)
 
     def label(self) -> str:
         """Short deterministic description used in reports and file headers."""
@@ -99,6 +96,20 @@ class CoinOperator:
             inside = ", ".join(format(p, ".17g") for p in self.params)
             return f"{self.kind}({inside})"
         return self.kind
+
+
+def _deviation(a: complex, b: complex, c: complex, d: complex) -> float:
+    """Largest modulus in ``m^H m - I``, ``m = [[a, b], [c, d]]``, from the
+    entries, with no matrix product.  ``math.hypot`` is numpy's complex abs,
+    and gives ``inf`` where ``abs`` would raise on overflow."""
+    return max(
+        math.hypot(z.real, z.imag)
+        for z in (
+            a.conjugate() * a + c.conjugate() * c - 1.0,
+            a.conjugate() * b + c.conjugate() * d,
+            b.conjugate() * b + d.conjugate() * d - 1.0,
+        )
+    )
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -157,7 +168,7 @@ def general_coin(gamma: float, delta: float, xi: float, theta: float) -> CoinOpe
 
 def identity_coin() -> CoinOperator:
     """Coin that leaves the spin untouched; a step with it is a bare shift."""
-    return CoinOperator(_IDENTITY.copy(), kind="identity")
+    return CoinOperator(np.eye(2), kind="identity")
 
 
 def closing_coin(coin: CoinOperator) -> CoinOperator:

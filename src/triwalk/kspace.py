@@ -26,7 +26,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -254,17 +254,52 @@ def pushforward_density(
     return BinnedDensity(bin_edges=edges, density=np.diff(cdf) / (2.0 / bins))
 
 
-@cache
-def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """8-point Gauss-Legendre nodes and weights on ``[-1, 1]``, and the map
-    from values at the nodes to the monomial coefficients in ``t``, highest
-    first, of the integral from -1 to ``t`` of their interpolant."""
-    # numpy loads numpy.polynomial on first use; a table build pays for it.
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    powers = np.arange(1, 9)
-    rows = np.linalg.inv(np.vander(nodes, 8, increasing=True)) / powers[:, None]
-    integral = np.vstack((rows[::-1], -((-1.0) ** powers) @ rows))
-    return nodes, weights, integral
+# 8-point Gauss-Legendre nodes and weights on ``[-1, 1]`` (Golub & Welsch,
+# Math. Comp. 23, 1969), and the map from values at the nodes to the
+# monomial coefficients in ``t``, highest first, of the integral from -1 to
+# ``t`` of their interpolant.  They are the exact float64 values of
+# ``np.polynomial.legendre.leggauss(8)`` and of ``inv(vander(nodes))``'s
+# rows over their powers, frozen so a table build touches no LAPACK; the map
+# is rounded by ``inv``, so it is stored in full, not by its symmetry.
+_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+    -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+    0.7966664774136267, 0.9602898564975362,
+])
+_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+    0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+    0.22238103445337443, 0.10122853629037706,
+])
+_INTEGRAL = np.array([
+    [-0.39445362356304003, 1.2665452031975788, -2.1174319006879156,
+     2.630663385534829, -2.6306633855348314, 2.1174319006879196,
+     -1.2665452031975826, 0.39445362356304137],
+    [0.4329026440757531, -1.1531589777331857, 1.2717475309739739,
+     -0.5514911973165408, -0.5514911973165434, 1.271747530973976,
+     -1.153158977733187, 0.4329026440757536],
+    [0.4967538865849485, -2.0804933327106068, 4.490317428383485,
+     -6.429405848275326, 6.42940584827533, -4.490317428383495,
+     2.080493332710616, -0.49675388658495173],
+    [-0.5724332621559032, 1.988951153583709, -2.831768807313191,
+     1.4152509158853863, 1.415250915885381, -2.8317688073131886,
+     1.988951153583709, -0.5724332621559035],
+    [-0.16246510101929318, 0.7472801279877632, -2.7003896982863203,
+     5.341536657751741, -5.3415366577517425, 2.700389698286329,
+     -0.7472801279877704, 0.16246510101929584],
+    [0.2080181180582338, -0.7937773696069542, 1.8921897411381863,
+     -1.3064304895894694, -1.3064304895894552, 1.8921897411381783,
+     -0.7937773696069508, 0.20801811805823314],
+    [0.009306165066703774, -0.043415728503912565, 0.16679764991842766,
+     -1.7009127998398694, 1.700912799839868, -0.16679764991843107,
+     0.04341572850391385, -0.009306165066704526],
+    [-0.017873231832895593, 0.0691757109831174, -0.1753151418600232,
+     0.6240126627098023, 0.6240126627097995, -0.17531514186002056,
+     0.0691757109831167, -0.017873231832895006],
+    [0.10147294107586902, 0.2212742472558642, 0.31755984361126854,
+     0.3394604965178045, 0.02322328686055819, -0.003853197733377778,
+     0.0011067871975110055, -0.0002444047854927578],
+])
 
 
 # Table panels per unit of the graded coordinate asinh((k - k0) / width): 8
@@ -317,9 +352,8 @@ class _LimitCdf:
         span = math.asinh((0.5 * math.pi - self.k0) / self.width) - self.xi0
         self.panels = math.ceil(_PANELS_PER_UNIT * span)
         self.step = span / self.panels
-        nodes, weights, integral = _panel_rule()
         xi = self.xi0 + self.step * (
-            np.arange(self.panels)[:, None] + 0.5 * (nodes + 1.0)
+            np.arange(self.panels)[:, None] + 0.5 * (_NODES + 1.0)
         )
         g, u = _folded(c, s, self.k0 + self.width * np.sinh(xi), alpha, beta)
         # dk/dt / 2pi on each panel, t in [-1, 1] its local coordinate
@@ -332,9 +366,9 @@ class _LimitCdf:
         powers[::2] *= 4.0 * self.norm * jac
         powers[1::2] *= (2.0 * u - 4.0 * self.norm) * jac
         # each panel's nodes, then the panels, pairwise
-        self.moments = np.sum(powers @ weights, axis=1)
-        self.coef = rate @ integral.T
-        start = np.cumsum(rate @ weights)
+        self.moments = np.sum(powers @ _WEIGHTS, axis=1)
+        self.coef = rate @ _INTEGRAL.T
+        start = np.cumsum(rate @ _WEIGHTS)
         self.coef[1:, -1] += start[:-1]
         self.total = float(start[-1])
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triwalk import (
+    UNITARITY_TOLERANCE,
     CoinOperator,
     DegenerateCoin,
     ForbiddenAngle,
@@ -15,6 +16,7 @@ from triwalk import (
     identity_coin,
     rotation_coin,
 )
+from triwalk.coins import _deviation
 
 SQ2 = math.sqrt(2.0) / 2.0
 
@@ -158,6 +160,65 @@ def test_identity_coin():
 def test_non_unitary_matrix_rejected():
     with pytest.raises(ValueError):
         CoinOperator(np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex))
+
+
+def _near_threshold(n, seed):
+    """Unitary coins moved off unitarity by about the tolerance, some just
+    inside it and some just outside."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        gamma, delta, xi, theta = rng.uniform(-3.0, 3.0, 4)
+        eps = 10.0 ** rng.uniform(-13.5, -11.5)
+        noise = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        yield general_coin_matrix(gamma, delta, xi, theta) + eps * noise
+
+
+def test_unitarity_deviation_is_the_matmul_deviation():
+    # The oracle is the matmul m^H m - I.  Its BLAS may fuse multiply-adds,
+    # and near the tolerance a column's squared norm is a sum near 1, whose
+    # ulp is 2.2e-16, so the two may round an ulp or two of 1 apart.  Accept
+    # and reject must agree wherever the oracle is further than that from
+    # the tolerance (with a fused BLAS, every verdict here agrees, and one
+    # in 20,000 such matrices differed, 8.9e-17 past the tolerance).
+    band = 2 * np.finfo(float).eps
+    verdicts = []
+    for m in _near_threshold(4000, seed=30):
+        oracle = np.abs(m.conj().T @ m - np.eye(2)).max()
+        deviation = _deviation(*m.ravel().tolist())
+        assert abs(deviation - oracle) <= band
+        try:
+            CoinOperator(m)
+            accepted = True
+        except ValueError as err:
+            assert str(err) == f"coin matrix is not unitary (deviation {deviation:.3e})"
+            accepted = False
+        if abs(oracle - UNITARITY_TOLERANCE) > band:
+            assert accepted == (oracle <= UNITARITY_TOLERANCE)
+        verdicts.append(accepted)
+    assert 1000 < sum(verdicts) < 3000
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # the matmul's NaN let these through before
+        [[1e200 + 1e200j, 1e200 - 1e200j], [0.0, 1.0]],
+        [[1e155 + 1e155j, 1e155 - 1e155j], [1.0, 1.0]],
+        # an inner product whose complex abs overflows
+        [[9e153 + 9e153j, 9e153 + 9e153j], [9e153 + 9e153j, 9e153 - 9e153j]],
+    ],
+)
+def test_overflowing_entries_are_not_unitary(entries):
+    with pytest.raises(ValueError, match=r"not unitary \(deviation inf\)"):
+        CoinOperator(np.array(entries, dtype=complex))
+
+
+def test_is_identity_reads_the_entries():
+    signed_zero = CoinOperator(np.array([[1.0, -0.0], [-0.0, 1.0]], dtype=complex))
+    assert signed_zero.kind == "custom" and signed_zero.is_identity()
+    assert not CoinOperator(np.diag([1.0, -1.0])).is_identity()
+    assert not CoinOperator(np.diag([1.0, 1j])).is_identity()
+    assert not rotation_coin(0.7).is_identity()
 
 
 def test_matrix_is_read_only():

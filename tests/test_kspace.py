@@ -1,7 +1,11 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from triwalk import (
 )
 
 from triwalk import kspace
+from triwalk.analysis import compare_walk
 
 from _oracles import (
     branches,
@@ -248,10 +253,78 @@ def _fold_models():
     return [LimitModel(coin, spin) for coin in coins for spin in spins]
 
 
+def test_panel_rule_constants_are_the_computed_rule():
+    # The frozen rule against the computation it replaced.  Another LAPACK
+    # build may round the eigenvalues and the inverse differently, hence 2
+    # ulps and 2e-14; on the build the constants were read from, they are
+    # bit-equal.
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    powers = np.arange(1, 9)
+    rows = np.linalg.inv(np.vander(nodes, 8, increasing=True)) / powers[:, None]
+    integral = np.vstack((rows[::-1], -((-1.0) ** powers) @ rows))
+    assert np.all(np.abs(kspace._NODES - nodes) <= 2 * np.spacing(np.abs(nodes)))
+    assert np.all(np.abs(kspace._WEIGHTS - weights) <= 2 * np.spacing(weights))
+    assert kspace._INTEGRAL.shape == (9, 8)
+    assert np.max(np.abs(kspace._INTEGRAL - integral)) <= 2e-14
+
+
+def _lapack_free_models():
+    """Fresh models, so every call below builds its table."""
+    spin = InitialSpin(0.6, 0.8j)
+    return [
+        LimitModel(rotation_coin(0.7), spin),
+        LimitModel(general_coin(0.4, 1.2, 2.2, 2.0), spin),
+    ]
+
+
+def test_workload_paths_call_no_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in ("inv", "eigvalsh", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for model in _lapack_free_models():
+        compare_walk(model, 297)
+    for model in _lapack_free_models():
+        limit_cdf(model, np.linspace(-1.0, 1.0, 101))
+    for model in _lapack_free_models():
+        pushforward_density(model, 400)
+
+
+def test_workload_paths_leave_numpy_polynomial_unloaded():
+    # numpy 2 loads numpy.polynomial on first use; numpy 1.24 loads it with
+    # numpy, so the probe asks only that the calls change nothing.
+    probe = """
+import sys
+import numpy as np
+from triwalk import (
+    InitialSpin, LimitModel, general_coin, limit_cdf, pushforward_density,
+    rotation_coin,
+)
+from triwalk.analysis import compare_walk
+before = "numpy.polynomial" in sys.modules
+spin = InitialSpin(0.6, 0.8j)
+for coin in (rotation_coin(0.7), general_coin(0.4, 1.2, 2.2, 2.0)):
+    compare_walk(LimitModel(coin, spin), 297)
+    limit_cdf(LimitModel(coin, spin), np.linspace(-1.0, 1.0, 101))
+    pushforward_density(LimitModel(coin, spin), 400)
+print(before, "numpy.polynomial" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert before == after
+
+
 def _table_nodes(table):
     """The table's quadrature nodes ``k``, shape ``(panels, 8)``, and
     ``dk/dt / 2pi`` at them, laid out as :class:`kspace._LimitCdf` does."""
-    nodes, _, _ = kspace._panel_rule()
+    nodes = kspace._NODES
     xi = table.xi0 + table.step * (
         np.arange(table.panels)[:, None] + 0.5 * (nodes + 1.0)
     )
@@ -276,7 +349,7 @@ def test_one_fold_weight_is_the_four_fold_sum():
 def test_table_moments_are_the_four_fold_moments():
     # The parent's integrand, g^r u + (-g)^r (4N - u) by running products
     # of the four-fold u, against the one Vandermonde product of the table.
-    _, weights, _ = kspace._panel_rule()
+    weights = kspace._WEIGHTS
     for model in _fold_models():
         table = kspace._LimitCdf(model)
         c, s, (alpha, beta) = model.a_abs, model.b_abs, model.effective_spin

@@ -35,8 +35,12 @@ code.  The interval is not yet a regression rule: a tree compared with
 itself read above 1 in 4 of 66 workload runs on a shared 2-vCPU VM,
 about the nominal 1 in 20, so one run's interval just past 1 is not a
 regression by itself.  Import time is not compared:
-``bench/run.py`` puts it in ``setup_s``.  ``--smoke`` uses
-``workloads.SMOKE`` sizes and 4 rounds.
+``bench/run.py`` puts it in ``setup_s``.  Nor is resident memory: both
+trees share one process, so the first tree to touch a library's pages
+(LAPACK, BLAS kernels, ``numpy.polynomial``) pays for both, and
+tracemalloc sees only Python's allocations, not those pages.  Read a
+``peak_rss_mb`` change from fresh ``bench/run.py`` processes, alternating
+the trees.  ``--smoke`` uses ``workloads.SMOKE`` sizes and 4 rounds.
 """
 
 from __future__ import annotations
