@@ -32,7 +32,8 @@ class EndpointSingularity(WalkError):
 
 
 class DegenerateQuasimomentum(WalkError):
-    """Quasi-momentum at which the two dispersion branches coincide."""
+    """Quasi-momentum at which the two branches of the period block meet
+    (``sin th <= 1e-9``); for a rotation coin, ``k = 0`` and ``+-pi``."""
 
 
 class NoGap(WalkError):

@@ -5,8 +5,8 @@ One period of the canonical cycle acts in Fourier space as the 2x2 unitary
 eigenvalue branches carry group velocities whose distribution under the
 eigenvector overlap weights *is* the limit law.  This module exposes:
 
-- :func:`eigen_system` / :func:`group_velocity`: the closed-form branches
-  for a rotation-form coin;
+- :func:`eigen_system`: the branches of any protocol's period block, read
+  from the FFT read's SU(2) form of it (:func:`triwalk.walk._su2`);
 - :func:`kspace_moment`: moments of the limit law, from the same weight
   integral on the same panels as the CDF, exact to rounding;
 - :func:`limit_cdf`: the cumulative law, exact to rounding: closed-form
@@ -31,17 +31,15 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .coins import CoinOperator
 from .errors import DegenerateQuasimomentum
 from .limit import LimitModel, _pointwise, support_intervals
-from .walk import StepProtocol, _block, _check_order, _steps
+from .walk import StepProtocol, _block, _check_order, _det_phase, _steps, _su2
 
 __all__ = [
     "EigenSystem",
     "BinnedDensity",
     "fourier_block",
     "eigen_system",
-    "group_velocity",
     "kspace_moment",
     "pushforward_density",
     "limit_cdf",
@@ -49,11 +47,6 @@ __all__ = [
 ]
 
 DEFAULT_CELLS = 1 << 16
-
-_K_GUARD = 1e-9
-
-# Branch signs: index 0 is the branch with positive imaginary eigenvalue part.
-_SIGNS = (-1.0, 1.0)
 
 
 def fourier_block(protocol: StepProtocol, k: float) -> np.ndarray:
@@ -73,7 +66,7 @@ class _tables:
 
     The one place the branch trigonometry is written.  ``a +- i root`` are
     the branch eigenvalues, ``b`` and ``cross`` the real components of
-    their eigenvectors (see :func:`eigen_system`), ``disc = 1 - a^2``
+    their eigenvectors ``(-cross e^{2ik}, b +- root)``, ``disc = 1 - a^2``
     computed in the cancellation-free form ``b^2 + cross^2``, ``num`` the
     group-velocity numerator and ``h`` the velocities, shape
     ``(2, *k.shape)``, branch-major.  Velocities need only ``sin k``, so
@@ -139,66 +132,54 @@ def _folded(
 class EigenSystem:
     """Eigen data of the period block at one quasi-momentum.
 
-    Branch index 0 carries the eigenvalue with positive imaginary part.
+    Branch index 0 carries the eigenvalue ``exp(i phi / 2) exp(i th)``.
     ``eigenvectors[j]`` is the unit eigenvector of ``eigenvalues[j]``;
     its overall phase is a free choice, so compare only phase-invariant
-    quantities.
+    quantities.  ``velocities`` are per step.
     """
 
     k: float
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    norms: np.ndarray
     velocities: np.ndarray
 
 
-def eigen_system(coin: CoinOperator, k: float) -> EigenSystem:
-    """Closed-form eigen decomposition of the period block for a rotation coin.
+def eigen_system(protocol: StepProtocol, k: float) -> EigenSystem:
+    """Eigen decomposition of :func:`fourier_block` at ``k``, for any protocol.
 
-    Raises
-    ------
-    DegenerateQuasimomentum
-        Within ``1e-9`` of ``k in {0, -pi, pi}`` where the branches merge.
-    ValueError
-        If the coin is not of rotation form, or ``k`` is out of range.
+    It reads the FFT read's SU(2) form of the block, ``exp(i phi / 2) V``
+    (:func:`triwalk.walk._su2`).  The eigenvalues are ``exp(i phi / 2)
+    (cos th +- i sin th)``.  For ``s = +-sin th`` the eigenvector is
+    ``(-i (Im x + s), conj y)`` if ``s Im x >= 0``, else ``(y, i (s - Im
+    x))``; both have squared norm ``2 sin th (sin th + |Im x|)``, so nothing
+    cancels.  ``det B`` does not depend on ``k``, and ``d tr B / dk = i
+    sum_j tr(sigma_z B_j)`` over the ``p`` cyclic rotations ``B_j`` of the
+    protocol's block, so ``th' = sum_j Im x_j / sin th`` and the velocities
+    are ``-+th' / p`` (Grimmett, Janson & Scudo, Phys. Rev. E 69, 026119,
+    2004).  Raises :class:`~triwalk.errors.DegenerateQuasimomentum` where
+    ``sin th <= 1e-9``, as the branches meet, and ``ValueError`` for ``k``
+    outside ``[-pi, pi]``.
     """
-    a, b, c, d = coin.entries
-    if max(abs(e.imag) for e in coin.entries) > 1e-12 or abs(b - c) > 1e-12 or abs(a + d) > 1e-12:
-        raise ValueError(
-            "momentum-space branches need a rotation-form coin [[c, s], [s, -c]]"
-        )
     if not -math.pi <= k <= math.pi:
         raise ValueError("quasi-momentum must lie in [-pi, pi]")
-    if abs(k) <= _K_GUARD or math.pi - abs(k) <= _K_GUARD:
-        raise DegenerateQuasimomentum(
-            "branches coincide at k = 0 and k = +-pi; stay away from them"
-        )
-    t = _tables(a.real, b.real, np.array([float(k)]))
-    a0, b0, cross0, root = (float(x[0]) for x in (t.a, t.b, t.cross, t.root))
-    eigenvalues = np.array([a0 + 1j * root, a0 - 1j * root])
-    # The second components are b +- root.  The one whose sign is opposite
-    # to b's cancels, so it is written as cross^2 / (|b| + root) instead.
-    u = abs(b0) + root
-    q = cross0 * cross0 / u
-    second = np.array([sign * (u if sign * b0 >= 0.0 else q) for sign in _SIGNS])
-    norms = 2.0 * root * np.abs(second)
-    v0 = -cross0 * np.exp(2j * k)
-    eigenvectors = np.array([[v0, x] for x in second]) / np.sqrt(norms)[:, None]
+    steps, phi, p = _steps(protocol), _det_phase(protocol), protocol.period
+    w, r_p = cmath.exp(-2j * k), cmath.exp(1j * p * k)
+    reads = [_su2(steps[j:] + steps[:j], phi, np.array([w]), np.array([r_p])) for j in range(p)]
+    z, im_x, y = (x.item() for x in reads[0])
+    sin = z.imag
+    if sin <= 1e-9:
+        raise DegenerateQuasimomentum(f"the branches meet at k = {k!r}; stay away from it")
+    vectors = [
+        (-1j * (im_x + s), y.conjugate()) if s * im_x >= 0.0 else (y, 1j * (s - im_x))
+        for s in (sin, -sin)
+    ]
+    speed = sum(read[1].item() for read in reads) / (sin * p)
     return EigenSystem(
         k=float(k),
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        norms=norms,
-        velocities=t.h[:, 0],
+        eigenvalues=cmath.rect(1.0, 0.5 * phi) * np.array([z, z.conjugate()]),
+        eigenvectors=np.array(vectors) / math.sqrt(2.0 * sin * (sin + abs(im_x))),
+        velocities=np.array([-speed, speed]),
     )
-
-
-def group_velocity(coin: CoinOperator, k: float, branch: int) -> float:
-    """Group velocity of one branch, as :func:`eigen_system` gives it;
-    ``branch`` is 1 or 2 and ``h_1 = -h_2``."""
-    if branch not in (1, 2):
-        raise ValueError("branch must be 1 or 2")
-    return float(eigen_system(coin, k).velocities[branch - 1])
 
 
 def kspace_moment(model: LimitModel, r: int) -> float:

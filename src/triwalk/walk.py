@@ -299,6 +299,35 @@ def _block(coins: list, w: np.ndarray) -> tuple:
     return a, b, c, d
 
 
+def _det_phase(protocol: StepProtocol) -> float:
+    """``phi``, with ``exp(i phi)`` the product of ``protocol``'s coin determinants."""
+    return cmath.phase(math.prod(c.a * c.d - c.b * c.c for c in protocol.coins))
+
+
+def _su2(coins: list, phi: float, w: np.ndarray, r_p: np.ndarray) -> tuple:
+    """The period block of ``coins`` at each momentum in SU(2) form: the
+    arrays ``(cos th + i sin th, Im x, y)``.
+
+    ``coins`` is :func:`_steps` of ``p`` steps, ``exp(i phi)`` the product of
+    their determinants, ``w = exp(-2ik)`` and ``r_p = r^-p`` (overwritten),
+    ``r = exp(-ik)``.  The block ``B`` (:func:`_block`) has ``det B = exp(i
+    phi) r^(2p)``, so ``B = delta V``, ``delta = exp(i phi / 2) r^p``, with
+    ``V = [[x, y], [-conj(y), conj(x)]]`` in SU(2) to rounding (Ambainis,
+    Bach, Nayak, Vishwanath & Watrous, STOC 2001) and eigenvalues ``exp(+-i
+    th)``, ``x = cos th + i Im x``.  ``sin th = |(Im x, y)|`` comes from the
+    traceless part, so nothing cancels near ``th = 0`` or ``pi``.
+    """
+    a, b, c, d = _block(coins, w)
+    half = r_p
+    half *= cmath.rect(0.5, -0.5 * phi)  # 1 / (2 delta): V's entries are halved sums, exactly
+    im_x = ((a - d) * half).imag
+    y = b * half - np.conj(c * half)
+    z = (a + d) * half  # cos th in its real part
+    del a, b, c, d, half  # a read at T = 10^6 holds 16 MB per (n,) array
+    z.imag = np.sqrt(im_x**2 + np.abs(y) ** 2)
+    return z, im_x, y
+
+
 def _fourier_reads(
     spin: InitialSpin, protocol: StepProtocol, times: list[int]
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -309,39 +338,26 @@ def _fourier_reads(
     the smallest 5-smooth such ``n``, where the FFT is fast, and
     ``r = exp(-ik)`` is taken out of every step.
 
-    The period block ``B`` of ``p`` coins (:func:`_block`) is raised to the
-    ``m`` whole periods in closed form (Higham, *Functions of Matrices*,
-    SIAM 2008).  With ``exp(i phi)`` the product of the coin determinants,
-    ``det B = exp(i phi) r^(2p)``, so ``B = delta V`` with
-    ``delta = exp(i phi / 2) r^p`` and ``V = [[x, y], [-conj(y), conj(x)]]``
-    in SU(2) to rounding, ``x = cos th + i Im x``.  So ``B^m = delta^m U``,
-    ``U = [[E, Y], [-conj(Y), conj(E)]]``, ``E = cos m th + i q Im x``,
-    ``Y = q y``, ``q = sin m th / sin th``.  ``sin th = |(Im x, y)|`` comes
-    from the traceless part, so nothing cancels, and ``exp(i m th)`` is
-    ``(cos th + i sin th)^m`` by squaring, over its modulus: ``U`` is
-    unitary to rounding at every ``m``, and the norm does not drift with
-    ``t``.  ``delta^m`` is ``exp(i m phi / 2)``, taken into the spin, times
-    ``r^(pm)``, a shift by ``pm / 2`` columns: the inverse FFT's output is
-    rolled, after one factor ``r`` if ``pm`` is odd.  Leftover steps follow.
+    The period block ``B = delta V`` of ``p`` coins (:func:`_su2`) is raised
+    to the ``m`` whole periods in closed form (Higham, *Functions of
+    Matrices*, SIAM 2008): ``B^m = delta^m U``, ``U = [[E, Y], [-conj(Y),
+    conj(E)]]``, ``E = cos m th + i q Im x``, ``Y = q y``, ``q = sin m th /
+    sin th``, and ``exp(i m th)`` is ``(cos th + i sin th)^m`` by squaring,
+    over its modulus: ``U`` is unitary to rounding at every ``m``, and the
+    norm does not drift with ``t``.  ``delta^m`` is ``exp(i m phi / 2)``,
+    taken into the spin, times ``r^(pm)``, a shift by ``pm / 2`` columns:
+    the inverse FFT's output is rolled, after one factor ``r`` if ``pm`` is
+    odd.  Leftover steps follow.
     """
     coins = _steps(protocol)
     period = len(coins)
-    phi = cmath.phase(math.prod(c.a * c.d - c.b * c.c for c in protocol.coins))
+    phi = _det_phase(protocol)
     for t in times:
         n = _smooth_size(t + 1)
         roots = _roots(n)
         w = roots[::2]  # exp(-2ik)
         m, left = divmod(t, period)
-        a, b, c, d = _block(coins, w)
-        # 1 / (2 delta), from r^-p: V's entries are halved sums, exactly
-        half = roots[np.arange(0, -period * n, -period) % (2 * n)]
-        half *= cmath.rect(0.5, -0.5 * phi)
-        im_x = ((a - d) * half).imag
-        y = b * half - np.conj(c * half)
-        z = (a + d) * half  # cos th in its real part
-        del a, b, c, d, half  # a read at T = 10^6 holds 16 MB per (n,) array
-        sin = np.sqrt(im_x**2 + np.abs(y) ** 2)
-        z.imag = sin
+        z, im_x, y = _su2(coins, phi, w, roots[np.arange(0, -period * n, -period) % (2 * n)])
         power = z.copy() if m else np.ones(n, dtype=np.complex128)
         for bit in bin(m)[3:]:
             power *= power
@@ -349,7 +365,7 @@ def _fourier_reads(
                 power *= z
         modulus = np.abs(power)
         # Where sin th = 0, so are Im x, y and sin m th: the floor reads q = 0.
-        q = power.imag / (modulus * np.maximum(sin, 1e-300))
+        q = power.imag / (modulus * np.maximum(z.imag, 1e-300))
         power.real /= modulus
         np.multiply(q, im_x, out=power.imag)
         y *= q
@@ -357,7 +373,7 @@ def _fourier_reads(
         vec = np.multiply.outer((a, b.conjugate()), power)
         vec += np.multiply.outer((b, -a.conjugate()), y)
         np.conj(vec[1], out=vec[1])  # U (a, b), its second entry b conj(E) - a conj(Y)
-        del z, sin, power, modulus, q, im_x, y
+        del z, power, modulus, q, im_x, y
         shift, odd = divmod(period * m, 2)  # p m <= t < n
         if odd:
             vec *= roots[:n]

@@ -15,10 +15,11 @@ from triwalk import (
     DegenerateQuasimomentum,
     InitialSpin,
     LimitModel,
+    StepProtocol,
+    canonical_protocol,
     eigen_system,
     fourier_block,
     general_coin,
-    group_velocity,
     kspace_moment,
     limit_cdf,
     limit_density,
@@ -26,6 +27,7 @@ from triwalk import (
     rotation_coin,
     support_intervals,
     symmetric_spin,
+    three_coin_protocol,
     three_period_protocol,
 )
 
@@ -46,45 +48,67 @@ def open_grid(n):
 
 
 def test_eigenvalues_at_quarter_turn():
-    system = eigen_system(rotation_coin(math.pi / 4), math.pi / 2)
+    system = eigen_system(three_period_protocol(math.pi / 4), math.pi / 2)
     assert system.eigenvalues[0] == pytest.approx(1j, abs=1e-14)
     assert system.eigenvalues[1] == pytest.approx(-1j, abs=1e-14)
 
 
 def test_group_velocity_at_quarter_turn():
-    coin = rotation_coin(math.pi / 4)
-    assert group_velocity(coin, math.pi / 2, 1) == pytest.approx(1.0 / 3.0, abs=1e-14)
-    assert group_velocity(coin, math.pi / 2, 2) == pytest.approx(-1.0 / 3.0, abs=1e-14)
+    velocities = eigen_system(three_period_protocol(math.pi / 4), math.pi / 2).velocities
+    assert velocities[0] == pytest.approx(1.0 / 3.0, abs=1e-14)
+    assert velocities[1] == pytest.approx(-1.0 / 3.0, abs=1e-14)
 
 
 def test_velocities_sum_to_zero_exactly():
-    coin = rotation_coin(1.2)
+    protocol = three_period_protocol(1.2)
     for k in open_grid(100):
-        assert group_velocity(coin, k, 1) + group_velocity(coin, k, 2) == 0.0
+        velocities = eigen_system(protocol, k).velocities
+        assert velocities[0] + velocities[1] == 0.0
 
 
 def test_degenerate_quasimomenta_rejected():
-    coin = rotation_coin(1.0)
+    protocol = three_period_protocol(1.0)
     for k in (0.0, 5e-10, math.pi, -math.pi, math.pi - 5e-10):
         with pytest.raises(DegenerateQuasimomentum):
-            eigen_system(coin, k)
+            eigen_system(protocol, k)
     with pytest.raises(ValueError):
-        eigen_system(coin, 4.0)
+        eigen_system(protocol, 4.0)
 
 
-def test_eigen_system_requires_rotation_form():
-    with pytest.raises(ValueError):
-        eigen_system(general_coin(0.3, 0.1, 0.9, 1.0), 1.0)
+def test_eigen_system_refuses_where_a_general_coins_branches_meet():
+    # For [C, C, closing] with C = general_coin(gamma, delta, xi, theta) the
+    # branches meet at k* = (delta - gamma) / 2 - xi (mod pi), here -1.8 and
+    # its pi-partner, and not at a rotation coin's 0 and +-pi.
+    protocol = canonical_protocol(general_coin(0.4, 1.2, 2.2, 2.0))
+    for k in (0.0, math.pi, -math.pi):
+        assert np.max(np.abs(np.abs(eigen_system(protocol, k).eigenvalues) - 1.0)) <= 1e-15
+    for crossing in (-1.8, -1.8 + math.pi):
+        with pytest.raises(DegenerateQuasimomentum):
+            eigen_system(protocol, crossing)
+        for k in (crossing - 1e-3, crossing + 1e-3):
+            system = eigen_system(protocol, k)
+            assert np.max(np.abs(np.abs(system.eigenvalues) - 1.0)) <= 1e-15
+
+
+def _general_protocols():
+    """A general coin's cycle, a three-coin cycle, and periods 1 and 2."""
+    coin = general_coin(0.4, 1.2, 2.2, 2.0)
+    return [
+        canonical_protocol(coin),
+        three_coin_protocol(
+            general_coin(1.1, -0.3, 0.7, 0.9), coin, general_coin(-2.0, 0.5, 1.9, 2.8)
+        ),
+        StepProtocol((rotation_coin(math.pi / 4),)),  # the Hadamard walk
+        StepProtocol((general_coin(0.3, 0.1, 0.9, 1.0), rotation_coin(1.2))),
+    ]
 
 
 def test_eigen_identities_on_grid():
     rng = np.random.default_rng(4)
-    for _ in range(5):
-        theta = random_safe_angle(rng)
-        coin = rotation_coin(theta)
-        protocol = three_period_protocol(theta)
+    rotations = [three_period_protocol(random_safe_angle(rng)) for _ in range(5)]
+    for protocol in (*rotations, *_general_protocols()):
         for k in open_grid(40):
-            system = eigen_system(coin, k)
+            system = eigen_system(protocol, k)
             # unimodular, distinct eigenvalues
             assert np.max(np.abs(np.abs(system.eigenvalues) - 1.0)) <= 1e-12
             assert system.eigenvalues[0] != system.eigenvalues[1]
@@ -109,28 +133,42 @@ def test_eigen_identities_on_grid():
 def test_finite_difference_velocity_check():
     eps = 1e-5
     rng = np.random.default_rng(6)
-    for _ in range(4):
-        theta = random_safe_angle(rng)
-        coin = rotation_coin(theta)
+    rotations = [three_period_protocol(random_safe_angle(rng)) for _ in range(4)]
+    for protocol in (*rotations, *_general_protocols()):
         for k in open_grid(200):
-            system = eigen_system(coin, k)
-            for j, branch in enumerate((1, 2)):
-                lam_p = eigen_system(coin, k + eps).eigenvalues[j]
-                lam_m = eigen_system(coin, k - eps).eigenvalues[j]
+            system = eigen_system(protocol, k)
+            for j in range(2):
+                lam_p = eigen_system(protocol, k + eps).eigenvalues[j]
+                lam_m = eigen_system(protocol, k - eps).eigenvalues[j]
                 derivative = (lam_p - lam_m) / (2.0 * eps)
-                fd = (system.eigenvalues[j] * derivative.conjugate()).imag / 3.0
+                fd = (system.eigenvalues[j] * derivative.conjugate()).imag / protocol.period
                 assert abs(system.velocities[j] - fd) <= 1e-6
-                assert system.velocities[j] == group_velocity(coin, k, branch)
+
+
+def test_eigen_system_matches_the_branch_tables():
+    # Two routes to a rotation coin's branches: the SU(2) read of the block,
+    # and the trigonometric tables that the CDF and the moments read.
+    ks = open_grid(200)
+    for theta in (*np.linspace(0.05, 3.1, 12), 1.5706):
+        c, s = math.cos(theta), math.sin(theta)
+        tables = kspace._tables(c, s, ks)
+        velocities = kspace._velocities(c, s, ks)
+        protocol = three_period_protocol(theta)
+        for i, k in enumerate(ks):
+            system = eigen_system(protocol, k)
+            expected = tables.a[i] + np.array([1j, -1j]) * tables.root[i]
+            assert np.max(np.abs(system.eigenvalues - expected)) <= 1e-14
+            assert np.max(np.abs(system.velocities - velocities[:, i])) <= 1e-14
 
 
 def test_velocity_range_matches_support(gap_model, pi4_model):
     ks = open_grid(100_000)
     for model in (gap_model, pi4_model):
         c, s = model.a_abs, model.b_abs
-        coin = rotation_coin(math.acos(c))
+        protocol = three_period_protocol(math.acos(c))
         hull = support_intervals(model).positive[1]
         gap = support_intervals(model).gap
-        h = np.array([[group_velocity(coin, k, b) for k in ks[:: 1000]] for b in (1, 2)])
+        h = np.array([eigen_system(protocol, k).velocities for k in ks[::1000]])
         assert np.max(np.abs(h)) <= hull + 1e-9
         if gap is not None:
             assert np.min(np.abs(h)) >= gap[1] - 1e-9
@@ -380,12 +418,10 @@ def test_branch_weights_sum_to_spin_norm():
 
 
 def test_eigen_system_is_accurate_at_a_near_trivial_angle():
-    # The cross term 2 c s sin k is ~2e-4 here, so root - |b| cancels.
-    theta = 1.5706
-    coin = rotation_coin(theta)
-    protocol = three_period_protocol(theta)
+    # Near a quarter turn |y| is ~1e-4 of sin th: no eigenvector entry may cancel.
+    protocol = three_period_protocol(1.5706)
     for k in np.linspace(-3.0, 3.0, 41) + 0.01:
-        system = eigen_system(coin, k)
+        system = eigen_system(protocol, k)
         block = fourier_block(protocol, k)
         for value, vector in zip(system.eigenvalues, system.eigenvectors):
             assert np.linalg.norm(block @ vector - value * vector) <= 1e-14
