@@ -75,6 +75,41 @@ def random_safe_angle(rng: np.random.Generator, low=0.05, margin=0.05) -> float:
             return theta
 
 
+def random_protocol(rng: np.random.Generator, i: int):
+    """Random protocol number ``i``, of the kind ``i % 5``: a rotation coin's
+    cycle, a general coin's cycle, three coins, then periods of one and two.
+
+    Each coin is a rotation coin or, as often, a general coin with uniform
+    phases; its angle is a quarter turn plus 0.05 .. pi/2 - 0.05, clear of
+    the angles where the branches meet everywhere.
+    """
+    from triwalk import (
+        StepProtocol,
+        canonical_protocol,
+        general_coin,
+        rotation_coin,
+        three_coin_protocol,
+        three_period_protocol,
+    )
+
+    def angle():
+        return rng.uniform(0.05, math.pi / 2 - 0.05) + math.pi / 2 * rng.integers(4)
+
+    def coin():
+        if rng.random() < 0.5:
+            return rotation_coin(angle())
+        return general_coin(*rng.uniform(-math.pi, math.pi, 3), angle())
+
+    kind = i % 5
+    if kind == 0:
+        return three_period_protocol(angle())
+    if kind == 1:
+        return canonical_protocol(general_coin(*rng.uniform(-math.pi, math.pi, 3), angle()))
+    if kind == 2:
+        return three_coin_protocol(coin(), coin(), coin())
+    return StepProtocol(tuple(coin() for _ in range(kind - 2)))
+
+
 def general_coin_matrix(gamma, delta, xi, theta) -> np.ndarray:
     """``diag(e^{i gamma}, e^{i delta}) @ R(theta) @ diag(e^{i xi}, e^{-i xi})``
     by two matmuls, the definition that ``general_coin`` builds entrywise."""

@@ -309,13 +309,49 @@ def test_ks_distance_falls_near_the_cube_root_of_time(theta, spin):
     assert -0.43 <= slope <= -0.35
 
 
+def check_compare_walk(model, time, r_max=4):
+    """``compare_walk(model, time, r_max=r_max)``: every report field in
+    range, a gap mass exactly when the law has a gap, and m_0 = 1 to 1e-14.
+    Returns the report."""
+    report = compare_walk(model, time, r_max=r_max)
+    assert report.time == time
+    assert 0.0 <= report.ks_distance <= 1.0, report.ks_distance
+    assert 0.0 <= report.mirror_asymmetry <= 1.0, report.mirror_asymmetry
+    assert [r for r, _ in report.moment_errors] == list(range(r_max + 1))
+    assert all(0.0 <= e < 1.0 for _, e in report.moment_errors), report.moment_errors
+    has_gap = support_intervals(model).gap is not None
+    assert (report.gap_mass is not None) == has_gap
+    assert report.gap_mass is None or 0.0 <= report.gap_mass <= 1.0, report.gap_mass
+    assert abs(kspace_moment(model, 0) - 1.0) <= 1e-14
+    return report
+
+
+def check_cold_models(count):
+    """``check_compare_walk`` at T = 297 on ``count`` fresh models with seed
+    17, each paying once for its CDF table.  The first twelve take six fixed
+    angles, from a turn of width 1e-4 to a near-trivial angle, each once as
+    a rotation coin and once as a general coin; the rest uniform angles.
+    Every model has a random spin.  CI runs 1,000."""
+    from _oracles import random_spin
+
+    rng = np.random.default_rng(17)
+    fixed = [1e-4, 1.5706, 0.001, 0.05, math.pi / 4, 3.1405]
+    for i in range(count):
+        theta = fixed[i // 2] if i < 2 * len(fixed) else rng.uniform(1e-4, 3.1415)
+        if i % 2:
+            coin = general_coin(*rng.uniform(-math.pi, math.pi, 3), theta)
+        else:
+            coin = rotation_coin(theta)
+        model = LimitModel(coin, InitialSpin(*random_spin(rng)))
+        check_compare_walk(model, 297)
+
+
 def test_compare_walk_report_fields(gap_model):
-    report = compare_walk(gap_model, 99, r_max=2)
-    assert report.time == 99
+    report = check_compare_walk(gap_model, 99, r_max=2)
     assert report.coin_label.startswith("rotation(")
-    assert 0.0 <= report.ks_distance <= 1.0
     assert report.gap_mass is not None
     assert report.mirror_asymmetry <= 1e-12
+    check_cold_models(12)  # CI's six fixed angles, each with two coins
 
 
 def test_compare_walk_no_gap_reports_none(pi4_model):

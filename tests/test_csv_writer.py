@@ -3,12 +3,14 @@ parser that ``main`` builds once per process."""
 
 import contextlib
 import io
+import tempfile
 from argparse import Namespace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from _oracles import csv_table
+from _oracles import csv_table, json_table
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -40,20 +42,40 @@ def written(names, columns) -> str:
     return out.getvalue()
 
 
+# The tables CI checks: the 300k-row simulate CSV, and the 650k-row table of
+# eleven sparse three-coin reads up to T = 99,999, as CSV and as JSON.
+LARGE_T_TABLES = [
+    ["simulate", "--theta", "0.785", "--steps", "299999"],
+    ["three-coin", *COINS, "--steps", "99999", "--every", "9999"],
+    ["three-coin", *COINS, "--steps", "99999", "--every", "9999", "--format", "json"],
+]
+
+
+def check_table_bytes(argv):
+    """Run ``argv`` through ``main`` to a file in a temporary directory, with a
+    spy on the one table ``main`` emits: the file is byte for byte what the
+    slow writers in ``_oracles`` write from that table, the per-row writer,
+    or ``json.dump`` for ``--format json``.  Returns the table, as
+    ``(command, config, names, columns)``.  CI runs it on LARGE_T_TABLES."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        cli, "_emit_table", wraps=cli._emit_table
+    ) as emit:
+        out = Path(tmp) / "table"
+        assert main([*argv, "-o", str(out)]) == 0
+        data = out.read_bytes()
+    emit.assert_called_once()
+    _, command, config, names, columns = emit.call_args.args
+    if config["format"] == "json":
+        expected = json_table(config, names, columns)
+    else:
+        expected = csv_table(command, config, names, columns)
+    assert data == expected.encode(), argv
+    return command, config, names, columns
+
+
 @pytest.mark.parametrize("argv", TABLES, ids=lambda argv: "-".join(argv[:1] + argv[-2:]))
-def test_csv_bytes_equal_the_per_row_writer(tmp_path, monkeypatch, argv):
-    tables = []
-    emit = cli._emit_table
-
-    def spy(args, command, config, names, columns):
-        tables.append((command, config, names, columns))
-        return emit(args, command, config, names, columns)
-
-    monkeypatch.setattr(cli, "_emit_table", spy)
-    out = tmp_path / "table.csv"
-    assert main([*argv, "-o", str(out)]) == 0
-    (table,) = tables
-    assert out.read_bytes() == csv_table(*table).encode()
+def test_csv_bytes_equal_the_per_row_writer(argv):
+    check_table_bytes(argv)
 
 
 @pytest.mark.parametrize("rows", EDGE_ROWS)

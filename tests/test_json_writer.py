@@ -7,12 +7,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from _oracles import csv_table, json_table
+from _oracles import json_table
 from hypothesis import example, given, settings
-from test_csv_writer import BLOCK, COINS, EDGE_ROWS, EXTREME_INTS, SIGNED_ZEROS, TABLES, tables
+from test_csv_writer import (
+    BLOCK,
+    COINS,
+    EDGE_ROWS,
+    EXTREME_INTS,
+    SIGNED_ZEROS,
+    TABLES,
+    check_table_bytes,
+    tables,
+)
 
 from triwalk import _cells, cli
-from triwalk.cli import main
 
 
 # the config holds an empty list, as the rows of an empty table are
@@ -28,28 +36,9 @@ def expected(names, columns) -> str:
     return json_table({"k": 1, "e": []}, names, columns)
 
 
-def emitted_table(monkeypatch, tmp_path, argv):
-    """Run ``argv``; return the file it wrote and the table it was written from."""
-    emitted = []
-    emit = cli._emit_table
-
-    def spy(args, command, config, names, columns):
-        emitted.append((command, config, names, columns))
-        return emit(args, command, config, names, columns)
-
-    monkeypatch.setattr(cli, "_emit_table", spy)
-    out = tmp_path / "table"
-    assert main([*argv, "-o", str(out)]) == 0
-    (table,) = emitted
-    return out.read_bytes(), table
-
-
 @pytest.mark.parametrize("argv", TABLES, ids=lambda argv: "-".join(argv[:1] + argv[-2:]))
-def test_json_bytes_equal_the_json_encoder(tmp_path, monkeypatch, argv):
-    data, (_, config, names, columns) = emitted_table(
-        monkeypatch, tmp_path, [*argv, "--format", "json"]
-    )
-    assert data == json_table(config, names, columns).encode()
+def test_json_bytes_equal_the_json_encoder(argv):
+    check_table_bytes([*argv, "--format", "json"])
 
 
 GENERAL = ["--coin", "0.3,-1.1,0.7,1.0"]
@@ -92,15 +81,9 @@ EDGE_TABLES = [
 @pytest.mark.parametrize(
     "argv, rows", EDGE_TABLES, ids=[f"{argv[0]}-{rows}" for argv, rows in EDGE_TABLES]
 )
-def test_table_bytes_at_block_edges(tmp_path, monkeypatch, argv, rows, fmt):
-    data, (command, config, names, columns) = emitted_table(
-        monkeypatch, tmp_path, [*argv, "--format", fmt]
-    )
+def test_table_bytes_at_block_edges(argv, rows, fmt):
+    _, _, _, columns = check_table_bytes([*argv, "--format", fmt])
     assert columns[0].size == rows
-    if fmt == "json":
-        assert data == json_table(config, names, columns).encode()
-    else:
-        assert data == csv_table(command, config, names, columns).encode()
 
 
 @pytest.mark.parametrize("rows", [0, 1, *EDGE_ROWS])

@@ -39,6 +39,7 @@ from _oracles import (
     cdf_by_quadrature,
     four_fold,
     moment_table,
+    random_protocol,
     random_safe_angle,
 )
 
@@ -53,7 +54,7 @@ def test_eigenvalues_at_quarter_turn():
     assert system.eigenvalues[1] == pytest.approx(-1j, abs=1e-14)
 
 
-def test_group_velocity_at_quarter_turn():
+def test_velocities_at_quarter_turn():
     velocities = eigen_system(three_period_protocol(math.pi / 4), math.pi / 2).velocities
     assert velocities[0] == pytest.approx(1.0 / 3.0, abs=1e-14)
     assert velocities[1] == pytest.approx(-1.0 / 3.0, abs=1e-14)
@@ -103,46 +104,59 @@ def _general_protocols():
     ]
 
 
+# the finite-difference step for the velocities
+EPS = 1e-5
+
+
+def check_eigen_system(protocol, ks):
+    """``eigen_system(protocol, k)`` at each of the momenta ``ks``: distinct
+    eigenvalues of modulus 1, orthonormal eigenvectors of ``fourier_block``,
+    their product the block's determinant, and velocities equal to the
+    finite differences of the eigenvalues over ``k +- EPS``."""
+    for k in ks:
+        system = eigen_system(protocol, k)
+        lam, vectors = system.eigenvalues, system.eigenvectors
+        plus = eigen_system(protocol, k + EPS).eigenvalues
+        minus = eigen_system(protocol, k - EPS).eigenvalues
+        assert lam[0] != lam[1], k
+        block = fourier_block(protocol, k)
+        for j in range(2):
+            assert abs(abs(lam[j]) - 1.0) <= 1e-14, (k, j)
+            residual = np.linalg.norm(block @ vectors[j] - lam[j] * vectors[j])
+            assert residual <= 1e-13, (k, j)
+            assert abs(np.vdot(vectors[j], vectors[j]) - 1.0) <= 1e-12, (k, j)
+            derivative = (plus[j] - minus[j]) / (2.0 * EPS)
+            fd = (lam[j] * derivative.conjugate()).imag / protocol.period
+            assert abs(system.velocities[j] - fd) <= 1e-6, (k, j, system.velocities[j] - fd)
+        assert abs(np.vdot(vectors[0], vectors[1])) <= 1e-10, k
+        det_block = np.linalg.det(block)
+        assert abs(abs(det_block) - 1.0) <= 1e-12, k
+        assert abs(det_block - lam[0] * lam[1]) <= 1e-10, k
+
+
+def check_eigen_system_on_random_protocols(count, momenta):
+    """``check_eigen_system`` on ``count`` protocols from
+    ``_oracles.random_protocol`` with seed 23, each at ``momenta`` uniform
+    momenta in ``(-pi + EPS, pi - EPS)``.  CI runs 1,000 protocols x 5."""
+    rng = np.random.default_rng(23)
+    for i in range(count):
+        protocol = random_protocol(rng, i)
+        check_eigen_system(protocol, rng.uniform(-math.pi + EPS, math.pi - EPS, momenta))
+
+
 def test_eigen_identities_on_grid():
     rng = np.random.default_rng(4)
     rotations = [three_period_protocol(random_safe_angle(rng)) for _ in range(5)]
     for protocol in (*rotations, *_general_protocols()):
-        for k in open_grid(40):
-            system = eigen_system(protocol, k)
-            # unimodular, distinct eigenvalues
-            assert np.max(np.abs(np.abs(system.eigenvalues) - 1.0)) <= 1e-12
-            assert system.eigenvalues[0] != system.eigenvalues[1]
-            block = fourier_block(protocol, k)
-            # eigen residual against the explicit period block
-            for j in range(2):
-                residual = np.linalg.norm(
-                    block @ system.eigenvectors[j]
-                    - system.eigenvalues[j] * system.eigenvectors[j]
-                )
-                assert residual <= 1e-10
-                assert abs(np.vdot(system.eigenvectors[j], system.eigenvectors[j]) - 1.0) <= 1e-12
-            # orthogonality and determinant consistency
-            overlap = np.vdot(system.eigenvectors[0], system.eigenvectors[1])
-            assert abs(overlap) <= 1e-10
-            det_block = np.linalg.det(block)
-            det_eigen = system.eigenvalues[0] * system.eigenvalues[1]
-            assert abs(abs(det_block) - 1.0) <= 1e-12
-            assert abs(det_block - det_eigen) <= 1e-10
+        check_eigen_system(protocol, open_grid(40))
+    check_eigen_system_on_random_protocols(50, 5)  # CI's first 50, of every kind
 
 
 def test_finite_difference_velocity_check():
-    eps = 1e-5
     rng = np.random.default_rng(6)
     rotations = [three_period_protocol(random_safe_angle(rng)) for _ in range(4)]
     for protocol in (*rotations, *_general_protocols()):
-        for k in open_grid(200):
-            system = eigen_system(protocol, k)
-            for j in range(2):
-                lam_p = eigen_system(protocol, k + eps).eigenvalues[j]
-                lam_m = eigen_system(protocol, k - eps).eigenvalues[j]
-                derivative = (lam_p - lam_m) / (2.0 * eps)
-                fd = (system.eigenvalues[j] * derivative.conjugate()).imag / protocol.period
-                assert abs(system.velocities[j] - fd) <= 1e-6
+        check_eigen_system(protocol, open_grid(200))
 
 
 def test_eigen_system_matches_the_branch_tables():
@@ -447,16 +461,39 @@ def test_moment_memo_is_dropped_with_its_model():
     assert len(kspace._CACHE) == entries - 1
 
 
+def check_cdf_and_pushforward(models, points, bins, shape):
+    """For each of ``models``: ``limit_cdf`` on ``points`` evenly spaced points
+    of [-1, 1] is monotone, and exactly 0 and 1 beyond the hull;
+    ``pushforward_density`` with each count of ``bins`` has width 2 / bins,
+    the midpoints as centres, no negative density and mass 1 to 1e-14; and
+    ``limit_density`` and ``limit_cdf`` on a midpoint grid read in ``shape``
+    give the flat read's values in that shape.  CI runs it at 10^6 + 1
+    points, 10^5 bins and (1000, 1000)."""
+    xs = np.linspace(-1.0, 1.0, points)
+    size = math.prod(shape)
+    mid = (np.arange(size) + 0.5) / (size / 2) - 1.0
+    for model in models:
+        cdf = limit_cdf(model, xs)
+        lo, hi = support_intervals(model).hull
+        assert np.all(np.diff(cdf) >= 0.0), model
+        assert np.all(cdf[xs <= lo] == 0.0) and np.all(cdf[xs >= hi] == 1.0), model
+        for n in bins:
+            # The bin width comes from the span: edges[1] - edges[0] of a
+            # 10^5-bin linspace is 1e-12 off, and the mass with it.
+            hist = pushforward_density(model, n)
+            assert hist.bin_width == 2.0 / n
+            midpoints = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
+            assert np.max(np.abs(hist.centers - midpoints)) <= 1e-15, (model, n)
+            assert np.all(hist.density >= 0.0), (model, n)
+            assert abs(hist.total_mass() - 1.0) <= 1e-14, (model, n)
+        for read in (limit_density, limit_cdf):
+            flat = read(model, mid).reshape(shape)
+            assert np.array_equal(read(model, mid.reshape(shape)), flat), (model, read)
+
+
 def test_pushforward_total_mass(pi4_model, gap_model):
-    # The bin width comes from the span: edges[1] - edges[0] of a 10^5-bin
-    # linspace is 1e-12 off, and the mass with it.
-    for model in (pi4_model, gap_model, *_models_from_wide_to_narrow_turns()):
-        for bins in (100, 400, 10**5):
-            hist = pushforward_density(model, bins)
-            assert hist.bin_width == 2.0 / bins
-            midpoints = -1.0 + (np.arange(bins) + 0.5) * (2.0 / bins)
-            assert np.max(np.abs(hist.centers - midpoints)) <= 1e-15
-            assert abs(hist.total_mass() - 1.0) <= 1e-14
+    models = (pi4_model, gap_model, *_models_from_wide_to_narrow_turns())
+    check_cdf_and_pushforward(models, 2_001, (100, 400, 10**5), (40, 50))
 
 
 def test_pushforward_needs_enough_bins(pi4_model):
@@ -537,7 +574,7 @@ def test_cdf_refined_and_base_agree_coarsely(pi4_model, gap_model):
         assert np.array_equal(limit_cdf(model, xs, refine=False), refined)
 
 
-def test_refined_cdf_at_support_endpoints():
+def test_cdf_against_quadrature_at_the_support_ends():
     # The CDF against a quadrature of the closed-form density, at the four
     # support endpoints (where the density diverges), between them and inside.
     spins = (symmetric_spin(), InitialSpin(1.0, 0.0), InitialSpin(0.6, 0.8j))
@@ -558,7 +595,7 @@ def test_refined_cdf_at_support_endpoints():
         assert np.max(np.abs(limit_cdf(model, xs) - exact)) <= 1e-10
 
 
-def test_cdf_refinement_accuracy_against_finer_grid(monkeypatch):
+def test_cdf_table_against_twice_the_panels(monkeypatch):
     # Twice as many table panels move nothing beyond rounding, from a wide
     # turn down to a turn of width ~1e-4 and at a near-trivial angle.
     spin = InitialSpin(0.6, 0.8j)
@@ -682,13 +719,7 @@ def test_level_crossings_move_at_their_level(theta):
 
 
 def test_cdf_is_exact_beyond_the_hull_and_monotone():
-    xs = np.linspace(-1.0, 1.0, 100_001)
-    for model in _models_from_wide_to_narrow_turns():
-        cdf = limit_cdf(model, xs)
-        hull = support_intervals(model).positive[1]
-        assert np.all(cdf[xs <= -hull] == 0.0)
-        assert np.all(cdf[xs >= hull] == 1.0)
-        assert np.all(np.diff(cdf) >= 0.0)
+    check_cdf_and_pushforward(_models_from_wide_to_narrow_turns(), 100_001, (), (40, 50))
 
 
 @pytest.mark.parametrize("theta", [0.3055476202671388, 0.1351539135338643])
