@@ -1,12 +1,12 @@
 """State-vector evolution of a two-state quantum walk on the integer line.
 
-The wavefunction at time ``t`` is a pair of complex amplitude arrays over
-the positions ``-t .. t`` (a spinor per site; column ``i`` of
-``WalkState.amplitudes`` is the spinor at position ``i - t``).  One step
-applies a coin to every spinor and then shifts: the spin-0 amplitude moves
-one site left, the spin-1 amplitude one site right.  Coins are drawn
-cyclically from a :class:`StepProtocol`; the canonical instance is the
-three-step cycle ``[coin, coin, identity]``.
+The wavefunction at time ``t`` is a spinor per site of ``-t .. t``, and a
+walk from a point mass occupies only the ``t + 1`` sites whose parity is
+that of ``t``: column ``i`` of ``WalkState.occupied`` is the spinor at
+position ``2i - t``.  One step applies a coin to every spinor and then
+shifts: the spin-0 amplitude moves one site left, the spin-1 amplitude one
+site right.  Coins are drawn cyclically from a :class:`StepProtocol`; the
+canonical instance is the three-step cycle ``[coin, coin, identity]``.
 
 :func:`evolve` and every multi-time read go through :func:`_walk`, which
 picks one of two kernels; both take the reported times and yield one
@@ -16,8 +16,7 @@ inverse FFT, in O(T log T), on the smallest 5-smooth grid of at least
 ``T + 1`` momenta (Ambainis, Bach, Nayak, Vishwanath & Watrous,
 "One-dimensional quantum walks", STOC 2001), which raises the period block
 to its power in closed form.  Up to T = 9,999 the two agree to within 1e-13
-in every amplitude, the FFT read is unitary to rounding at every T, and both
-leave the odd columns exactly zero.
+in every amplitude, and the FFT read is unitary to rounding at every T.
 """
 
 from __future__ import annotations
@@ -116,56 +115,66 @@ def three_coin_protocol(
 
 @dataclass(frozen=True, eq=False)
 class WalkState:
-    """Wavefunction at time ``t`` over the positions ``-t .. t``.
+    """Wavefunction at time ``t`` of a walk from a point mass: its ``t + 1``
+    occupied sites ``-t, -t + 2, .., t``.
 
-    ``amplitudes`` has shape ``(2, 2t+1)``; row 0 is the spin-0 amplitude,
+    ``occupied`` has shape ``(2, t + 1)``; row 0 is the spin-0 amplitude,
     row 1 the spin-1 amplitude, and column ``i`` sits at position
-    ``i - origin`` with ``origin == t``.
+    ``2i - t``.  The sites of the other parity hold no amplitude.
     """
 
     t: int
-    amplitudes: np.ndarray
+    occupied: np.ndarray
 
     def __post_init__(self) -> None:
         if self.t < 0:
             raise ValueError("time must be nonnegative")
-        amp = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amp.shape != (2, 2 * self.t + 1):
+        occ = np.asarray(self.occupied, dtype=np.complex128)
+        if occ.shape != (2, self.t + 1):
             raise ValueError(
-                f"amplitudes must have shape (2, {2 * self.t + 1}), got {amp.shape}"
+                f"occupied must have shape (2, {self.t + 1}), got {occ.shape}"
             )
+        occ.setflags(write=False)
+        object.__setattr__(self, "occupied", occ)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """A new read-only ``(2, 2t + 1)`` array over the positions ``-t .. t``,
+        column ``i`` at position ``i - origin``: ``occupied`` in the even
+        columns and exact zeros in the odd ones."""
+        amp = np.zeros((2, 2 * self.t + 1), dtype=np.complex128)
+        amp[:, ::2] = self.occupied
         amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
+        return amp
 
     @property
     def origin(self) -> int:
-        """Column index that holds position 0."""
+        """Column index of :attr:`amplitudes` that holds position 0."""
         return self.t
 
     def positions(self) -> np.ndarray:
+        """The positions ``-t .. t`` of the columns of :attr:`amplitudes`."""
         return np.arange(-self.t, self.t + 1)
 
     def spinor(self, x: int) -> np.ndarray:
-        """Amplitude pair at position ``x`` (zeros outside ``-t .. t``)."""
-        if abs(x) > self.t:
+        """Amplitude pair at position ``x``: zeros outside ``-t .. t`` and
+        where ``x + t`` is odd."""
+        if abs(x) > self.t or (x + self.t) % 2:
             return np.zeros(2, dtype=np.complex128)
-        return self.amplitudes[:, x + self.origin].copy()
+        return self.occupied[:, (x + self.t) // 2].copy()
 
     def norm(self) -> float:
-        amp = self.amplitudes
-        return float(np.sum(amp.real**2 + amp.imag**2))
+        occ = self.occupied
+        return float(np.sum(occ.real**2 + occ.imag**2))
 
     def validate(self, norm_tol: float = 1e-10) -> None:
-        """Check finiteness, normalisation, and the exact support/parity zeros."""
-        amp = self.amplitudes
-        if not np.all(np.isfinite(amp.view(np.float64))):
+        """Check that the amplitudes are finite and normalised; the support
+        and the parity hold by construction."""
+        if not np.all(np.isfinite(self.occupied.view(np.float64))):
             raise ValueError("amplitudes must be finite")
         norm = self.norm()
         if abs(norm - 1.0) > norm_tol:
             raise ValueError(f"norm drifted to {norm!r}")
-        # Positions x with x + t odd are column indices of odd parity.
-        if np.any(amp[:, 1::2] != 0):
-            raise ValueError("parity violated: amplitude on an odd sublattice site")
 
 
 def _mix(e: tuple, x0, x1) -> tuple:
@@ -184,7 +193,7 @@ def apply_coin(state: WalkState, coin: CoinOperator) -> WalkState:
     """Apply ``coin`` to every spinor without shifting (time unchanged)."""
     if coin.is_identity():
         return state
-    out = state.amplitudes.copy()
+    out = state.occupied.copy()
     _coin(coin.entries, out[0], out[1])
     return WalkState(state.t, out)
 
@@ -193,13 +202,15 @@ def step(state: WalkState, coin: CoinOperator) -> WalkState:
     """One time step: coin on every site, then the spin-conditioned shift.
 
     With the identity coin the step is a pure permutation of amplitudes.
+    In the occupied columns spin-0 keeps its column (``x -> x - 1``) and
+    spin-1 moves one column right (``x -> x + 1``), as in :func:`_stepping`.
     """
-    width = state.amplitudes.shape[1]
-    out = np.zeros((2, width + 2), dtype=np.complex128)
-    out[0, :width] = state.amplitudes[0]  # spin-0 moves x -> x - 1
-    out[1, 2:] = state.amplitudes[1]  # spin-1 moves x -> x + 1
+    width = state.t + 1
+    out = np.zeros((2, width + 1), dtype=np.complex128)
+    out[0, :width] = state.occupied[0]
+    out[1, 1:] = state.occupied[1]
     if not coin.is_identity():
-        _coin(coin.entries, out[0, :width], out[1, 2:])
+        _coin(coin.entries, out[0, :width], out[1, 1:])
     return WalkState(state.t + 1, out)
 
 
@@ -347,7 +358,8 @@ def _fourier_reads(
     norm does not drift with ``t``.  ``delta^m`` is ``exp(i m phi / 2)``,
     taken into the spin, times ``r^(pm)``, a shift by ``pm / 2`` columns:
     the inverse FFT's output is rolled, after one factor ``r`` if ``pm`` is
-    odd.  Leftover steps follow.
+    odd, and only its first ``t + 1`` columns are copied out.  Leftover steps
+    follow.
     """
     coins = _steps(protocol)
     period = len(coins)
@@ -380,15 +392,14 @@ def _fourier_reads(
         if left:
             vec[0], vec[1] = _mix(_block(coins[:left], w), vec[0], vec[1])
         x = np.fft.ifft(vec, axis=-1)
-        x = np.concatenate((x[:, n - shift :], x[:, : n - shift]), axis=-1)
-        yield t, x[:, : t + 1]
+        yield t, np.concatenate((x[:, n - shift :], x[:, : t + 1 - shift]), axis=-1)
 
 
 def _walk(
     spin: InitialSpin, protocol: StepProtocol, times: list[int]
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(t, occupied)`` at each of the strictly increasing ``times``,
-    a new ``(2, t + 1)`` array: the even columns of :class:`WalkState`.
+    a new ``(2, t + 1)`` array: :attr:`WalkState.occupied`.
 
     Both kernels read this way; the rule picks one.  Reads fewer than 50
     steps apart on average come from one :func:`_stepping` pass; sparser
@@ -409,14 +420,13 @@ def _check_steps(steps: int, least: int = 0, what: str = "steps") -> int:
 def evolve(spin: InitialSpin, protocol: StepProtocol, steps: int) -> WalkState:
     """Run ``steps`` steps from a point mass at the origin with spin ``spin``.
 
-    ``steps == 0`` returns the point-mass state.  The state is :func:`_walk`'s
-    one read at ``steps``: stepped below 50 steps, else one inverse FFT.
+    ``steps == 0`` returns the point-mass state.  The state holds
+    :func:`_walk`'s one read at ``steps``: stepped below 50 steps, else one
+    inverse FFT.
     """
     steps = _check_steps(steps)
     ((_, occupied),) = _walk(spin, protocol, [steps])
-    amp = np.zeros((2, 2 * steps + 1), dtype=np.complex128)
-    amp[:, ::2] = occupied
-    return WalkState(steps, amp)
+    return WalkState(steps, occupied)
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,9 +472,9 @@ def _measured(t: int, occupied: np.ndarray) -> PositionDistribution:
 
 
 def distribution(state: WalkState) -> PositionDistribution:
-    """Measured position distribution over the even sublattice of ``state``:
-    only columns of even index (positions with x + t even) are occupied."""
-    return _measured(state.t, state.amplitudes[:, ::2])
+    """Measured position distribution over the occupied sites of ``state``,
+    the positions with x + t even."""
+    return _measured(state.t, state.occupied)
 
 
 def _distributions(

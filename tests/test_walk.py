@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -229,9 +230,9 @@ def test_identity_step_is_exact_permutation():
     alpha, beta = random_spin(rng)
     state = evolve(InitialSpin(alpha, beta), three_period_protocol(1.1), 6)
     shifted = step(state, identity_coin())
-    width = state.amplitudes.shape[1]
-    assert np.array_equal(shifted.amplitudes[0, :width], state.amplitudes[0])
-    assert np.array_equal(shifted.amplitudes[1, 2:], state.amplitudes[1])
+    assert np.array_equal(shifted.occupied[0, :-1], state.occupied[0])
+    assert np.array_equal(shifted.occupied[1, 1:], state.occupied[1])
+    assert shifted.occupied[0, -1] == shifted.occupied[1, 0] == 0
 
 
 COIN = general_coin(0.4, 1.2, 2.2, 2.0)
@@ -262,8 +263,9 @@ def test_evolve_equals_folded_steps_bitwise():
             folded = point_mass(alpha, beta)
             for t in range(steps):
                 folded = step(folded, protocol.coins[t % protocol.period])
-            assert np.array_equal(direct, folded.amplitudes[:, ::2])
+            assert np.array_equal(direct, folded.occupied)
             state = evolve(spin, protocol, steps)
+            assert np.array_equal(state.occupied, folded.occupied)
             assert np.array_equal(state.amplitudes, folded.amplitudes)
             assert np.all(state.amplitudes[:, 1::2] == 0)
             expected = distribution(folded)
@@ -465,12 +467,16 @@ DRIFT_PROTOCOLS = {
 
 def check_norm_drift(names, times):
     """The FFT read of each of ``DRIFT_PROTOCOLS[names]`` from the spin
-    (0.6, 0.8i) at each of ``times`` passes ``validate(norm_tol=DRIFT)``: it is
-    finite, its norm is 1 within DRIFT, and the odd sublattice is empty.  CI
-    runs "canonical" and "three-coin" at T = 999,999."""
+    (0.6, 0.8i) at each of ``times`` holds its ``t + 1`` occupied sites and
+    passes ``validate(norm_tol=DRIFT)``: it is finite and its norm is 1 within
+    DRIFT.  Its padded ``amplitudes`` are exactly zero on the odd sublattice.
+    CI runs "canonical" and "three-coin" at T = 999,999."""
     for name in names:
         for t in times:
-            evolve(InitialSpin(0.6, 0.8j), DRIFT_PROTOCOLS[name], t).validate(norm_tol=DRIFT)
+            state = evolve(InitialSpin(0.6, 0.8j), DRIFT_PROTOCOLS[name], t)
+            assert state.occupied.shape == (2, t + 1)
+            state.validate(norm_tol=DRIFT)
+            assert np.all(state.amplitudes[:, 1::2] == 0)
 
 
 def test_fft_norm_drift_at_large_time_for_a_general_coin():
@@ -567,26 +573,51 @@ def test_bad_steps_fail_alike_on_both_paths(small, large):
 
 def _dense_vector(state, t_max):
     vec = np.zeros(2 * (2 * t_max + 1), dtype=complex)
-    for i in range(state.amplitudes.shape[1]):
+    for i in range(state.t + 1):
         for s in (0, 1):
-            vec[dense_index(i - state.t, s, t_max)] = state.amplitudes[s, i]
+            vec[dense_index(2 * i - state.t, s, t_max)] = state.occupied[s, i]
     return vec
 
 
 @pytest.mark.parametrize("coin", [general_coin(0.4, 1.2, 2.2, 1.1), identity_coin()])
-def test_step_and_apply_coin_act_on_odd_columns(coin):
-    # A hand-built state with every column occupied, odd parity included.
+def test_step_and_apply_coin_act_on_every_occupied_site(coin):
+    # A hand-built state with random amplitudes on every occupied site.
     rng = np.random.default_rng(17)
     t = 4
-    amp = rng.normal(size=(2, 2 * t + 1)) + 1j * rng.normal(size=(2, 2 * t + 1))
-    state = WalkState(t, amp)
+    occ = rng.normal(size=(2, t + 1)) + 1j * rng.normal(size=(2, t + 1))
+    state = WalkState(t, occ)
     expected = dense_step_operator(coin.matrix, t + 1) @ _dense_vector(state, t + 1)
     stepped = step(state, coin)
+    assert stepped.occupied.shape == (2, t + 2)
     assert np.allclose(_dense_vector(stepped, t + 1), expected, rtol=0, atol=1e-14)
     # Coin alone, then the oracle's bare shift, is the same full step.
     shift = dense_step_operator(np.eye(2), t + 1)
     coined = shift @ _dense_vector(apply_coin(state, coin), t + 1)
     assert np.allclose(coined, expected, rtol=0, atol=1e-14)
+    # The odd-parity sites hold nothing, and a padded array is refused.
+    assert np.all(state.spinor(-3) == 0) and np.all(state.spinor(1) == 0)
+    assert np.array_equal(state.spinor(2), occ[:, 3])
+    for t_bad in (1, t):
+        with pytest.raises(ValueError, match=rf"\(2, {t_bad + 1}\)"):
+            WalkState(t_bad, np.zeros((2, 2 * t_bad + 1), dtype=complex))
+
+
+def test_evolve_holds_only_the_occupied_sites():
+    # A state holds 32 (T + 1) bytes of amplitudes; one zero-padded to
+    # (2, 2T + 1) would hold twice that.  The first read at a size also
+    # leaves numpy's FFT plan for it cached (~124 kB here), so it is untraced.
+    t = 99_999
+    protocol = canonical_protocol(general_coin(0.4, 1.2, 2.2, 2.0))
+    evolve(InitialSpin(0.6, 0.8j), protocol, t)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state = evolve(InitialSpin(0.6, 0.8j), protocol, t)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert state.occupied.shape == (2, t + 1)
+    assert held <= 1.1 * 32 * (t + 1), held
 
 
 def test_canonical_protocol_of_rotation_matches_three_period():
@@ -633,7 +664,7 @@ def test_measured_distribution_is_the_public_constructor_bit_for_bit():
     # _measured skips the checks that hold by construction, not the sum to 1.
     protocol = canonical_protocol(general_coin(0.4, 1.2, 2.2, 2.0))
     for t in (0, 1, 2, 3, 49, 50, 297, 298):
-        occupied = evolve(InitialSpin(0.6, 0.8j), protocol, t).amplitudes[:, ::2]
+        occupied = evolve(InitialSpin(0.6, 0.8j), protocol, t).occupied
         trusted = _measured(t, occupied)
         public = PositionDistribution(
             positions=np.arange(-t, t + 1, 2),
