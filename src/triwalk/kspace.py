@@ -163,8 +163,8 @@ def eigen_system(protocol: StepProtocol, k: float) -> EigenSystem:
     if not -math.pi <= k <= math.pi:
         raise ValueError("quasi-momentum must lie in [-pi, pi]")
     steps, phi, p = _steps(protocol), _det_phase(protocol), protocol.period
-    w, r_p = cmath.exp(-2j * k), cmath.exp(1j * p * k)
-    reads = [_su2(steps[j:] + steps[:j], phi, np.array([w]), np.array([r_p])) for j in range(p)]
+    w, r_p = np.array([cmath.exp(-2j * k)]), cmath.exp(1j * p * k)
+    reads = [_su2(_block(steps[j:] + steps[:j], w), phi, np.array([r_p])) for j in range(p)]
     z, im_x, y = (x.item() for x in reads[0])
     sin = z.imag
     if sin <= 1e-9:

@@ -120,7 +120,8 @@ class WalkState:
 
     ``occupied`` has shape ``(2, t + 1)``; row 0 is the spin-0 amplitude,
     row 1 the spin-1 amplitude, and column ``i`` sits at position
-    ``2i - t``.  The sites of the other parity hold no amplitude.
+    ``2i - t``.  The sites of the other parity hold no amplitude.  The
+    state holds a read-only copy of the array it is given.
     """
 
     t: int
@@ -129,7 +130,7 @@ class WalkState:
     def __post_init__(self) -> None:
         if self.t < 0:
             raise ValueError("time must be nonnegative")
-        occ = np.asarray(self.occupied, dtype=np.complex128)
+        occ = np.array(self.occupied, dtype=np.complex128)
         if occ.shape != (2, self.t + 1):
             raise ValueError(
                 f"occupied must have shape (2, {self.t + 1}), got {occ.shape}"
@@ -177,11 +178,29 @@ class WalkState:
             raise ValueError(f"norm drifted to {norm!r}")
 
 
+def _state(t: int, occupied: np.ndarray) -> WalkState:
+    """``WalkState(t, occupied)`` holding, not copying, an array just made here."""
+    state = object.__new__(WalkState)
+    occupied.setflags(write=False)
+    vars(state).update(t=t, occupied=occupied)
+    return state
+
+
 def _mix(e: tuple, x0, x1) -> tuple:
     """``(a x0 + b x1, c x0 + d x1)`` for the entries ``e = (a, b, c, d)`` of
     a 2x2 matrix: the one place a coin, or a block of coins, acts."""
     a, b, c, d = e
     return a * x0 + b * x1, c * x0 + d * x1
+
+
+def _mix_into(e: tuple, x0, x1) -> tuple:
+    """:func:`_mix`, bit for bit, with an array ``x1`` overwritten by ``c x0 + d x1``."""
+    if not isinstance(x1, np.ndarray):
+        return _mix(e, x0, x1)
+    a, b, c, d = e
+    out = a * x0
+    out += b * x1
+    return out, np.add(c * x0, np.multiply(d, x1, out=x1), out=x1)
 
 
 def _coin(e: tuple, x0: np.ndarray, x1: np.ndarray) -> None:
@@ -195,7 +214,7 @@ def apply_coin(state: WalkState, coin: CoinOperator) -> WalkState:
         return state
     out = state.occupied.copy()
     _coin(coin.entries, out[0], out[1])
-    return WalkState(state.t, out)
+    return _state(state.t, out)
 
 
 def step(state: WalkState, coin: CoinOperator) -> WalkState:
@@ -211,7 +230,7 @@ def step(state: WalkState, coin: CoinOperator) -> WalkState:
     out[1, 1:] = state.occupied[1]
     if not coin.is_identity():
         _coin(coin.entries, out[0, :width], out[1, 1:])
-    return WalkState(state.t + 1, out)
+    return _state(state.t + 1, out)
 
 
 def _steps(protocol: StepProtocol) -> list:
@@ -252,6 +271,7 @@ def _stepping(
 # stepping and the FFT cost the same near T = 9 (~60 us, numpy 2.4, 2-vCPU
 # VM), and stepping costs at most ~0.25 ms more up to here.
 _FOURIER_MIN_STEPS = 50
+_FFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"  # numpy 1's FFT takes no out=
 
 
 def _roots(n: int) -> np.ndarray:
@@ -300,13 +320,16 @@ def _block(coins: list, w: np.ndarray) -> tuple:
     ``diag(1, w) @ C``, the ``S(k) @ C`` of
     :func:`~triwalk.kspace.fourier_block` times ``exp(-ik)``, so an
     identity step only multiplies ``c`` and ``d`` by ``w``.
+
+    Array ``c`` and ``d`` are updated in place (:func:`_mix_into`): the block
+    holds at most six ``(w.size,)`` rows, with the plain product's bits.
     """
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for e in coins:
         if e is not None:
-            a, c = _mix(e, a, c)
-            b, d = _mix(e, b, d)
-        c, d = w * c, w * d
+            a, c = _mix_into(e, a, c)
+            b, d = _mix_into(e, b, d)
+        c, d = (np.multiply(w, x, out=x) if isinstance(x, np.ndarray) else w * x for x in (c, d))
     return a, b, c, d
 
 
@@ -315,26 +338,29 @@ def _det_phase(protocol: StepProtocol) -> float:
     return cmath.phase(math.prod(c.a * c.d - c.b * c.c for c in protocol.coins))
 
 
-def _su2(coins: list, phi: float, w: np.ndarray, r_p: np.ndarray) -> tuple:
-    """The period block of ``coins`` at each momentum in SU(2) form: the
-    arrays ``(cos th + i sin th, Im x, y)``.
+def _su2(block: tuple, phi: float, r_p: np.ndarray) -> tuple:
+    """A period block at each momentum in SU(2) form: the arrays ``(cos th +
+    i sin th, Im x, y)``.
 
-    ``coins`` is :func:`_steps` of ``p`` steps, ``exp(i phi)`` the product of
-    their determinants, ``w = exp(-2ik)`` and ``r_p = r^-p`` (overwritten),
-    ``r = exp(-ik)``.  The block ``B`` (:func:`_block`) has ``det B = exp(i
-    phi) r^(2p)``, so ``B = delta V``, ``delta = exp(i phi / 2) r^p``, with
-    ``V = [[x, y], [-conj(y), conj(x)]]`` in SU(2) to rounding (Ambainis,
+    ``block`` is :func:`_block` of ``p`` steps, ``exp(i phi)`` the product of
+    their determinants, ``r_p = r^-p`` and ``r = exp(-ik)``; the results take
+    their rows, with the bits of the plain expressions.  ``B`` has ``det B =
+    exp(i phi) r^(2p)``, so ``B = delta V``, ``delta = exp(i phi / 2) r^p``,
+    with ``V = [[x, y], [-conj(y), conj(x)]]`` in SU(2) to rounding (Ambainis,
     Bach, Nayak, Vishwanath & Watrous, STOC 2001) and eigenvalues ``exp(+-i
     th)``, ``x = cos th + i Im x``.  ``sin th = |(Im x, y)|`` comes from the
     traceless part, so nothing cancels near ``th = 0`` or ``pi``.
     """
-    a, b, c, d = _block(coins, w)
+    a, b, c, d = block
+    del block
     half = r_p
     half *= cmath.rect(0.5, -0.5 * phi)  # 1 / (2 delta): V's entries are halved sums, exactly
-    im_x = ((a - d) * half).imag
-    y = b * half - np.conj(c * half)
-    z = (a + d) * half  # cos th in its real part
-    del a, b, c, d, half  # a read at T = 10^6 holds 16 MB per (n,) array
+    np.conjugate(np.multiply(c, half, out=c), out=c)
+    y = np.multiply(b, half, out=b if isinstance(b, np.ndarray) else None)
+    y -= c
+    im_x = np.multiply(np.subtract(a, d, out=c), half, out=c).imag
+    z = np.multiply(np.add(a, d, out=d), half, out=half)  # cos th in its real part
+    del a, b, c, d  # a read at T = 10^6 holds 16 MB per (n,) array
     z.imag = np.sqrt(im_x**2 + np.abs(y) ** 2)
     return z, im_x, y
 
@@ -360,16 +386,25 @@ def _fourier_reads(
     the inverse FFT's output is rolled, after one factor ``r`` if ``pm`` is
     odd, and only its first ``t + 1`` columns are copied out.  Leftover steps
     follow.
+
+    A read holds at most nine ``(n,)`` complex rows (eight up to a period of
+    three): the ``2n`` root table goes once :func:`_su2` has reduced the
+    block in place, and no row is rebuilt out of place, yet every product
+    and sum keeps its operands, order and scalar-or-array form: same bits.
     """
     coins = _steps(protocol)
     period = len(coins)
     phi = _det_phase(protocol)
     for t in times:
         n = _smooth_size(t + 1)
+        m, left = divmod(t, period)
+        shift, odd = divmod(period * m, 2)  # p m <= t < n
         roots = _roots(n)
         w = roots[::2]  # exp(-2ik)
-        m, left = divmod(t, period)
-        z, im_x, y = _su2(coins, phi, w, roots[np.arange(0, -period * n, -period) % (2 * n)])
+        z, im_x, y = _su2(_block(coins, w), phi, roots[np.arange(0, -period * n, -period) % (2 * n)])
+        r = roots[:n].copy() if odd else None
+        w = w.copy() if left else None
+        del roots
         power = z.copy() if m else np.ones(n, dtype=np.complex128)
         for bit in bin(m)[3:]:
             power *= power
@@ -381,18 +416,22 @@ def _fourier_reads(
         power.real /= modulus
         np.multiply(q, im_x, out=power.imag)
         y *= q
+        del z, modulus, q, im_x
         a, b = (cmath.rect(1.0, 0.5 * m * phi) * s for s in (spin.alpha, spin.beta))
-        vec = np.multiply.outer((a, b.conjugate()), power)
-        vec += np.multiply.outer((b, -a.conjugate()), y)
+        vec = np.multiply.outer((a, b.conjugate()), power)  # + outer((b, -conj a), y)
+        for row, s in zip(vec, (b, -a.conjugate())):
+            row += np.multiply(s, y, out=power)
         np.conj(vec[1], out=vec[1])  # U (a, b), its second entry b conj(E) - a conj(Y)
-        del z, power, modulus, q, im_x, y
-        shift, odd = divmod(period * m, 2)  # p m <= t < n
         if odd:
-            vec *= roots[:n]
+            vec *= r
+        del power, y, r
         if left:
-            vec[0], vec[1] = _mix(_block(coins[:left], w), vec[0], vec[1])
-        x = np.fft.ifft(vec, axis=-1)
+            block, w = _block(coins[:left], w), None
+            vec[0] = _mix_into(block, vec[0], vec[1])[0]
+            del block
+        x = np.fft.ifft(vec, axis=-1, out=vec) if _FFT_OUT else np.fft.ifft(vec, axis=-1)
         yield t, np.concatenate((x[:, n - shift :], x[:, : t + 1 - shift]), axis=-1)
+        del vec, x, row  # row: a view of vec
 
 
 def _walk(
@@ -426,20 +465,21 @@ def evolve(spin: InitialSpin, protocol: StepProtocol, steps: int) -> WalkState:
     """
     steps = _check_steps(steps)
     ((_, occupied),) = _walk(spin, protocol, [steps])
-    return WalkState(steps, occupied)
+    return _state(steps, occupied)
 
 
 @dataclass(frozen=True, eq=False)
 class PositionDistribution:
-    """Measurement distribution ``p(x) = |a0(x)|^2 + |a1(x)|^2`` at time ``t``."""
+    """Measurement distribution ``p(x) = |a0(x)|^2 + |a1(x)|^2`` at time ``t``;
+    it holds read-only copies of the arrays it is given."""
 
     positions: np.ndarray
     probabilities: np.ndarray
     t: int
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.positions, dtype=np.int64)
-        prob = np.asarray(self.probabilities, dtype=np.float64)
+        pos = np.array(self.positions, dtype=np.int64)
+        prob = np.array(self.probabilities, dtype=np.float64)
         if pos.shape != prob.shape or pos.ndim != 1:
             raise ValueError("positions and probabilities must be matching 1-d arrays")
         if np.any(np.diff(pos) <= 0):
@@ -466,7 +506,7 @@ def _measured(t: int, occupied: np.ndarray) -> PositionDistribution:
     constructor's other checks by construction; a drifted norm does not."""
     dist = object.__new__(PositionDistribution)
     object.__setattr__(dist, "t", t)
-    prob = np.sum(occupied.real**2 + occupied.imag**2, axis=0)
+    prob = np.add(*(row.real**2 + row.imag**2 for row in occupied))  # np.sum(axis=0)'s bits
     _settle(dist, np.arange(-t, t + 1, 2, dtype=np.int64), prob)
     return dist
 

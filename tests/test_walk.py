@@ -602,22 +602,49 @@ def test_step_and_apply_coin_act_on_every_occupied_site(coin):
             WalkState(t_bad, np.zeros((2, 2 * t_bad + 1), dtype=complex))
 
 
+def check_evolve_memory(names, times):
+    """One ``evolve`` of each of ``DRIFT_PROTOCOLS[names]`` from the spin
+    (0.6, 0.8i) at each of ``times``, by tracemalloc, after one untraced
+    call that leaves numpy's FFT plan for the grid cached (~124 kB at
+    T = 99,999).  Once it returns the state holds at most 1.1 x 32 (t + 1)
+    bytes, its occupied sites (a state padded to (2, 2t + 1) holds twice
+    that).  On the way the read peaks at most nine (n,) complex rows,
+    9 x 16 n bytes, above its start, n the read's 5-smooth grid (out of
+    place it took eleven).  CI runs "canonical", "C" and "three-coin" at
+    T = 999,998 and 999,999."""
+    for name in names:
+        for t in times:
+            evolve(InitialSpin(0.6, 0.8j), DRIFT_PROTOCOLS[name], t)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                state = evolve(InitialSpin(0.6, 0.8j), DRIFT_PROTOCOLS[name], t)
+                held, peak = (m - before for m in tracemalloc.get_traced_memory())
+            finally:
+                tracemalloc.stop()
+            assert state.occupied.shape == (2, t + 1)
+            assert held <= 1.1 * 32 * (t + 1), (name, t, held)
+            assert peak <= 9 * 16 * _smooth_size(t + 1), (name, t, peak)
+
+
 def test_evolve_holds_only_the_occupied_sites():
-    # A state holds 32 (T + 1) bytes of amplitudes; one zero-padded to
-    # (2, 2T + 1) would hold twice that.  The first read at a size also
-    # leaves numpy's FFT plan for it cached (~124 kB here), so it is untraced.
-    t = 99_999
-    protocol = canonical_protocol(general_coin(0.4, 1.2, 2.2, 2.0))
-    evolve(InitialSpin(0.6, 0.8j), protocol, t)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        state = evolve(InitialSpin(0.6, 0.8j), protocol, t)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert state.occupied.shape == (2, t + 1)
-    assert held <= 1.1 * 32 * (t + 1), held
+    # A general coin's cycle, a period of one and three general coins; at
+    # T = 99,998 two steps of a period of three are left over.
+    check_evolve_memory(["canonical", "C", "three-coin"], [99_999, 99_998])
+
+
+def test_constructors_copy_the_callers_arrays():
+    occ = np.array([[0.6], [0.8j]])
+    pos, prob = np.array([-1, 1]), np.array([0.25, 0.75])
+    state = WalkState(0, occ)
+    dist = PositionDistribution(pos, prob, 1)
+    for given, held in ((occ, state.occupied), (pos, dist.positions), (prob, dist.probabilities)):
+        assert given.flags.writeable and not held.flags.writeable
+        given[...] = 0
+        assert np.any(held != 0)
+    assert state.occupied.tolist() == [[0.6], [0.8j]]
+    assert dist.positions.tolist() == [-1, 1]
+    assert dist.probabilities.tolist() == [0.25, 0.75]
 
 
 def test_canonical_protocol_of_rotation_matches_three_period():
