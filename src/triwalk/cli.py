@@ -297,11 +297,10 @@ def cmd_sweep(args) -> int:
         "steps": args.steps,
         "format": args.format,
     }
-    dists = [
-        _distributions(spin, three_period_protocol(theta), [args.steps])[0]
-        for theta in thetas.tolist()
-    ]
-    columns = _dist_columns(dists, thetas)
+    columns = _dist_columns(
+        [_distributions(spin, three_period_protocol(t), [args.steps])[0] for t in thetas.tolist()],
+        thetas,
+    )
     return _emit_table(args, "sweep", config, ["theta", "x", "p"], columns)
 
 

@@ -38,7 +38,6 @@ from .walk import StepProtocol, _block, _check_order, _det_phase, _steps, _su2
 __all__ = [
     "EigenSystem",
     "BinnedDensity",
-    "fourier_block",
     "eigen_system",
     "kspace_moment",
     "pushforward_density",
@@ -47,18 +46,6 @@ __all__ = [
 ]
 
 DEFAULT_CELLS = 1 << 16
-
-
-def fourier_block(protocol: StepProtocol, k: float) -> np.ndarray:
-    """One full period of ``protocol`` as a 2x2 matrix at quasi-momentum ``k``.
-
-    Each step contributes ``S(k) @ coin``; the product runs later steps on
-    the left.  For the canonical cycle this is ``S (S C)^2``.  As ``S(k) =
-    exp(ik) diag(1, exp(-2ik))``, it is ``exp(ipk)``, for ``p`` steps, times
-    the walk's own period block (:func:`triwalk.walk._block`).
-    """
-    a, b, c, d = _block(_steps(protocol), cmath.exp(-2j * k))
-    return cmath.exp(1j * protocol.period * k) * np.array([[a, b], [c, d]], dtype=np.complex128)
 
 
 class _tables:
@@ -145,9 +132,12 @@ class EigenSystem:
 
 
 def eigen_system(protocol: StepProtocol, k: float) -> EigenSystem:
-    """Eigen decomposition of :func:`fourier_block` at ``k``, for any protocol.
+    """Eigen decomposition of ``protocol``'s period block ``B`` at ``k``.
 
-    It reads the FFT read's SU(2) form of the block, ``exp(i phi / 2) V``
+    ``B`` is the product of one ``S(k) @ coin`` per step, later steps on
+    the left, with ``S(k) = diag(exp(ik), exp(-ik))``: ``exp(ipk)``, for
+    ``p`` steps, times :func:`triwalk.walk._block`.  It reads the FFT
+    read's SU(2) form of the block, ``exp(i phi / 2) V``
     (:func:`triwalk.walk._su2`).  The eigenvalues are ``exp(i phi / 2)
     (cos th +- i sin th)``.  For ``s = +-sin th`` the eigenvector is
     ``(-i (Im x + s), conj y)`` if ``s Im x >= 0``, else ``(y, i (s - Im

@@ -271,7 +271,6 @@ def _stepping(
 # stepping and the FFT cost the same near T = 9 (~60 us, numpy 2.4, 2-vCPU
 # VM), and stepping costs at most ~0.25 ms more up to here.
 _FOURIER_MIN_STEPS = 50
-_FFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"  # numpy 1's FFT takes no out=
 
 
 def _roots(n: int) -> np.ndarray:
@@ -317,9 +316,9 @@ def _block(coins: list, w: np.ndarray) -> tuple:
 
     ``coins`` is :func:`_steps` of a protocol, or a prefix of it.  ``w``
     holds ``exp(-2ik)``; at momentum ``k`` a step with coin ``C`` is
-    ``diag(1, w) @ C``, the ``S(k) @ C`` of
-    :func:`~triwalk.kspace.fourier_block` times ``exp(-ik)``, so an
-    identity step only multiplies ``c`` and ``d`` by ``w``.
+    ``diag(1, w) @ C``, ``exp(-ik) S(k) @ C`` for ``S(k) = diag(exp(ik),
+    exp(-ik))``: an identity step only multiplies ``c`` and ``d`` by ``w``,
+    and ``exp(ipk)`` times the block of ``p`` steps is one full period.
 
     Array ``c`` and ``d`` are updated in place (:func:`_mix_into`): the block
     holds at most six ``(w.size,)`` rows, with the plain product's bits.
@@ -383,9 +382,9 @@ def _fourier_reads(
     over its modulus: ``U`` is unitary to rounding at every ``m``, and the
     norm does not drift with ``t``.  ``delta^m`` is ``exp(i m phi / 2)``,
     taken into the spin, times ``r^(pm)``, a shift by ``pm / 2`` columns:
-    the inverse FFT's output is rolled, after one factor ``r`` if ``pm`` is
-    odd, and only its first ``t + 1`` columns are copied out.  Leftover steps
-    follow.
+    ``vec`` takes one factor ``r`` if ``pm`` is odd, then the leftover
+    steps; the inverse FFT writes over it, and the read copies out only
+    the first ``t + 1`` columns of ``vec`` rolled.
 
     A read holds at most nine ``(n,)`` complex rows (eight up to a period of
     three): the ``2n`` root table goes once :func:`_su2` has reduced the
@@ -429,9 +428,9 @@ def _fourier_reads(
             block, w = _block(coins[:left], w), None
             vec[0] = _mix_into(block, vec[0], vec[1])[0]
             del block
-        x = np.fft.ifft(vec, axis=-1, out=vec) if _FFT_OUT else np.fft.ifft(vec, axis=-1)
-        yield t, np.concatenate((x[:, n - shift :], x[:, : t + 1 - shift]), axis=-1)
-        del vec, x, row  # row: a view of vec
+        np.fft.ifft(vec, axis=-1, out=vec)
+        yield t, np.concatenate((vec[:, n - shift :], vec[:, : t + 1 - shift]), axis=-1)
+        del vec, row  # row: a view of vec
 
 
 def _walk(

@@ -247,7 +247,7 @@ def moment_table(model, cells: int) -> np.ndarray:
 def fourier_product(protocol, k: float) -> np.ndarray:
     """One period of ``protocol`` at quasi-momentum ``k``, a step at a time.
 
-    The reference product for ``kspace.fourier_block`` and ``walk._block``:
+    The reference product for ``walk._block`` and ``kspace.eigen_system``:
     each step is ``S(k) @ C`` with ``S(k) = diag(e^{ik}, e^{-ik})``, one 2x2
     matmul per factor, later steps on the left.
     """

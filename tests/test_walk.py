@@ -27,7 +27,6 @@ from triwalk import (
     three_coin_protocol,
     three_period_protocol,
 )
-from triwalk.kspace import fourier_block
 from triwalk.walk import (
     _FOURIER_MIN_STEPS,
     _block,
@@ -503,8 +502,8 @@ def test_distribution_is_the_full_width_formula_bit_for_bit():
             assert np.array_equal(got.view(np.uint64), full.view(np.uint64))
 
 
-def test_period_block_matches_fourier_block():
-    # both momentum-space periods against the per-step product, on every
+def test_period_block_matches_fourier_product():
+    # the walk's period block against the per-step matmul product, on every
     # protocol, the identity-coin cycles included
     rng = np.random.default_rng(23)
     k = np.concatenate(([-np.pi, -2.9, -0.4, 0.0, 0.3, 1.7, 3.1, np.pi], rng.uniform(-4, 4, 200)))
@@ -517,7 +516,6 @@ def test_period_block_matches_fourier_block():
             expected = fourier_product(protocol, k[j])
             block = np.array([[a[j], b[j]], [c[j], d[j]]]) * phase[j]
             assert np.allclose(block, expected, rtol=0, atol=1e-14)
-            assert np.allclose(fourier_block(protocol, k[j]), expected, rtol=0, atol=1e-14)
 
 
 def test_evolve_takes_each_path_on_its_side_of_the_crossover():
@@ -608,10 +606,10 @@ def check_evolve_memory(names, times):
     call that leaves numpy's FFT plan for the grid cached (~124 kB at
     T = 99,999).  Once it returns the state holds at most 1.1 x 32 (t + 1)
     bytes, its occupied sites (a state padded to (2, 2t + 1) holds twice
-    that).  On the way the read peaks at most nine (n,) complex rows,
-    9 x 16 n bytes, above its start, n the read's 5-smooth grid (out of
-    place it took eleven).  CI runs "canonical", "C" and "three-coin" at
-    T = 999,998 and 999,999."""
+    that).  On the way the read peaks at most eight (n,) complex rows,
+    8 x 16 n bytes, above its start, n the read's 5-smooth grid, plus
+    64 KiB for its small arrays (1.8-2.2 KiB at T = 99,998 to 999,999).
+    CI runs "canonical", "C" and "three-coin" at T = 999,998 and 999,999."""
     for name in names:
         for t in times:
             evolve(InitialSpin(0.6, 0.8j), DRIFT_PROTOCOLS[name], t)
@@ -624,7 +622,7 @@ def check_evolve_memory(names, times):
                 tracemalloc.stop()
             assert state.occupied.shape == (2, t + 1)
             assert held <= 1.1 * 32 * (t + 1), (name, t, held)
-            assert peak <= 9 * 16 * _smooth_size(t + 1), (name, t, peak)
+            assert peak <= 8 * 16 * _smooth_size(t + 1) + 65_536, (name, t, peak)
 
 
 def test_evolve_holds_only_the_occupied_sites():
