@@ -134,7 +134,7 @@ def moment_report(
     Every distinct time is read in one walk pass, in increasing order;
     the reports come in the order of ``times``.
     """
-    _check_order(r_max)
+    r_max = _check_order(r_max)
     reference = [kspace_moment(model, r) for r in range(r_max + 1)]
     times = [_check_steps(t, 1, "time") for t in times]
     if not times:
@@ -177,7 +177,7 @@ def compare_distribution(
     r_max: int = 4,
 ) -> ComparisonReport:
     """Full comparison of one distribution against the limit law of ``model``."""
-    _check_order(r_max)
+    r_max = _check_order(r_max)
     ks = ks_distance(dist, scale, model)
     reference = [kspace_moment(model, r) for r in range(r_max + 1)]
     moments = _moment_errors(dist, reference, scale)
@@ -198,6 +198,7 @@ def compare_distribution(
 
 def compare_walk(model: LimitModel, time: int, *, r_max: int = 4) -> ComparisonReport:
     """Evolve the canonical cycle to ``time >= 1`` and compare against the limit law."""
+    r_max = _check_order(r_max)
     time = _check_steps(time, 1, "time")
     dist = distribution(evolve(model.spin, canonical_protocol(model.coin), time))
     return compare_distribution(model, dist, time, r_max=r_max)
@@ -212,6 +213,7 @@ def offphase_compare(
     intermediate times behave indistinguishably at this resolution; both
     reports use the unmodified law.
     """
+    r_max = _check_order(r_max)
     _check_steps(t, 1, "t")
     protocol = canonical_protocol(model.coin)
     dists = _distributions(model.spin, protocol, [3 * t + 1, 3 * t + 2])

@@ -128,14 +128,14 @@ class WalkState:
     occupied: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.t < 0:
+        t = operator.index(self.t)
+        if t < 0:
             raise ValueError("time must be nonnegative")
         occ = np.array(self.occupied, dtype=np.complex128)
-        if occ.shape != (2, self.t + 1):
-            raise ValueError(
-                f"occupied must have shape (2, {self.t + 1}), got {occ.shape}"
-            )
+        if occ.shape != (2, t + 1):
+            raise ValueError(f"occupied must have shape (2, {t + 1}), got {occ.shape}")
         occ.setflags(write=False)
+        object.__setattr__(self, "t", t)
         object.__setattr__(self, "occupied", occ)
 
     @property
@@ -530,10 +530,12 @@ def _check_scale(scale: float) -> float:
     return float(scale)
 
 
-def _check_order(r: int) -> None:
-    """Refuse a moment order outside ``0 .. 8``."""
+def _check_order(r: int) -> int:
+    """``r`` as an int; a non-integer, or an order outside ``0 .. 8``, is refused."""
+    r = operator.index(r)
     if not 0 <= r <= 8:
         raise ValueError("moment order must be between 0 and 8")
+    return r
 
 
 def _moment_terms(dist: PositionDistribution, r_max: int, scale: float) -> Iterator:
@@ -556,7 +558,6 @@ def empirical_moment(dist: PositionDistribution, r: int, scale: float) -> float:
     ``r`` is capped at 8: higher moments amplify roundoff beyond the
     tolerances this package promises.
     """
-    _check_order(r)
-    for term in _moment_terms(dist, r, scale):
+    for term in _moment_terms(dist, _check_order(r), scale):
         pass
     return float(np.sum(term))

@@ -12,6 +12,7 @@ import cmath
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -256,6 +257,31 @@ def fourier_product(protocol, k: float) -> np.ndarray:
     for coin in protocol.coins:
         block = shift @ coin.matrix @ block
     return block
+
+
+def integral_map(nodes) -> np.ndarray:
+    """The correctly rounded ``(n + 1, n)`` map from values at the float
+    ``nodes`` to the monomial coefficients, highest first, of the integral
+    from -1 to ``t`` of their interpolant (``kspace._INTEGRAL``'s rule).
+
+    Exact in rationals, lowest order first: each Lagrange basis polynomial
+    is built one factor ``(t - x_m) / (x_j - x_m)`` at a time, integrated
+    term by term, and given the constant that makes it vanish at -1; each
+    entry is then rounded once.
+    """
+    xs = [Fraction(x) for x in nodes]
+    columns = []
+    for j, xj in enumerate(xs):
+        basis = [Fraction(1)]
+        for m, xm in enumerate(xs):
+            if m != j:
+                shifted = [Fraction(0)] + basis
+                scaled = [xm * c for c in basis] + [Fraction(0)]
+                basis = [(a - b) / (xj - xm) for a, b in zip(shifted, scaled)]
+        integral = [Fraction(0)] + [c / (k + 1) for k, c in enumerate(basis)]
+        integral[0] = -sum(c * (-1) ** k for k, c in enumerate(integral))
+        columns.append([float(c) for c in reversed(integral)])
+    return np.array(columns).T
 
 
 def csv_table(command: str, config: dict, names: list[str], columns) -> str:

@@ -258,6 +258,40 @@ def test_reports_refuse_a_time_below_one_before_reading(pi4_model, monkeypatch, 
         report(pi4_model, time)
 
 
+@pytest.mark.parametrize(
+    "r_max, error, match",
+    [
+        (-1, ValueError, "^moment order must be between 0 and 8$"),
+        (9, ValueError, "^moment order must be between 0 and 8$"),
+        (2.0, TypeError, "integer"),
+    ],
+)
+@pytest.mark.parametrize(
+    "report",
+    [
+        lambda model, r_max: compare_walk(model, 99, r_max=r_max),
+        lambda model, r_max: offphase_compare(model, 33, r_max=r_max),
+        lambda model, r_max: moment_report(model, [99], r_max=r_max),
+        lambda model, r_max: compare_distribution(
+            model, lattice_dist({-1: 0.5, 1: 0.5}), 1, r_max=r_max
+        ),
+    ],
+    ids=["compare_walk", "offphase_compare", "moment_report", "compare_distribution"],
+)
+def test_reports_refuse_a_bad_order_before_reading(
+    pi4_model, monkeypatch, report, r_max, error, match
+):
+    # Refused by the order check itself, before the walk or the KS distance
+    # is read, and not by ``range`` after them.
+    def unread(*args):
+        raise AssertionError("the walk or the limit law was read")
+
+    for name in ("evolve", "_distributions", "ks_distance"):
+        monkeypatch.setattr(triwalk.analysis, name, unread)
+    with pytest.raises(error, match=match):
+        report(pi4_model, r_max)
+
+
 # T * dm_1 and T^2 * dm_2, dm_r the signed moment error, on one T ladder.
 # Gapped, they are constant: 0.26371 and 0.5347, gated at 1e-3 relative.
 # Gapless, they wander in -0.16267 .. -0.15550 and 1.4432 .. 1.5570 (as
@@ -324,6 +358,29 @@ def check_compare_walk(model, time, r_max=4):
     assert report.gap_mass is None or 0.0 <= report.gap_mass <= 1.0, report.gap_mass
     assert abs(kspace_moment(model, 0) - 1.0) <= 1e-14
     return report
+
+
+def check_near_trivial_collapse(tau, time):
+    """Near a trivial angle, ``compare_walk``'s KS depends on ``eps^2 T``
+    alone: with spin (0.6, 0.8i) and theta = eps, pi - eps and pi/2 - eps,
+    ``eps = sqrt(tau / time)``, the KS at ``(eps, time)`` and at
+    ``(eps / 10, 100 time)`` agree within 1e-4.  Both read far from the
+    long-time law (KS above 0.2 at ``tau <= 1``).  CI runs ``tau = 1`` from
+    T = 9,999 (KS 0.33 and 0.25)."""
+    spin = InitialSpin(0.6, 0.8j)
+    eps = math.sqrt(tau / time)
+    for angle in (lambda e: e, lambda e: math.pi - e, lambda e: 0.5 * math.pi - e):
+        ks = [
+            compare_walk(LimitModel(rotation_coin(angle(e)), spin), t).ks_distance
+            for e, t in ((eps, time), (eps / 10, 100 * time))
+        ]
+        assert ks[0] > 0.2, (angle(eps), ks)
+        assert abs(ks[0] - ks[1]) <= 1e-4, (angle(eps), ks)
+
+
+def test_near_trivial_angles_collapse_on_eps_squared_time():
+    # KS 0.599 (theta = eps, pi - eps) and 0.319 (pi/2 - eps) at eps^2 T = 0.1
+    check_near_trivial_collapse(0.1, 999)
 
 
 def check_cold_models(count):

@@ -38,6 +38,7 @@ from _oracles import (
     cdf_by_quadrature,
     four_fold,
     fourier_product,
+    integral_map,
     moment_table,
     random_protocol,
     random_safe_angle,
@@ -306,18 +307,16 @@ def _fold_models():
 
 
 def test_panel_rule_constants_are_the_computed_rule():
-    # The frozen rule against the computation it replaced.  Another LAPACK
-    # build may round the eigenvalues and the inverse differently, hence 2
-    # ulps and 2e-14; on the build the constants were read from, they are
-    # bit-equal.
+    # The frozen nodes and weights against numpy's rule: another LAPACK build
+    # may round the eigenvalues differently, hence 2 ulps; on the build they
+    # were read from, they are bit-equal.  The derived map against the
+    # correctly rounded map of the frozen nodes.
     nodes, weights = np.polynomial.legendre.leggauss(8)
-    powers = np.arange(1, 9)
-    rows = np.linalg.inv(np.vander(nodes, 8, increasing=True)) / powers[:, None]
-    integral = np.vstack((rows[::-1], -((-1.0) ** powers) @ rows))
     assert np.all(np.abs(kspace._NODES - nodes) <= 2 * np.spacing(np.abs(nodes)))
     assert np.all(np.abs(kspace._WEIGHTS - weights) <= 2 * np.spacing(weights))
     assert kspace._INTEGRAL.shape == (9, 8)
-    assert np.max(np.abs(kspace._INTEGRAL - integral)) <= 2e-14
+    exact = integral_map(kspace._NODES.tolist())
+    assert np.max(np.abs(kspace._INTEGRAL - exact)) <= 5e-15
 
 
 def _lapack_free_models():
@@ -562,14 +561,6 @@ def test_cdf_agrees_with_density_quadrature(pi4_model, leftward_model):
             )
             via_cdf = limit_cdf(model, b) - limit_cdf(model, a)
             assert via_cdf == pytest.approx(direct, abs=1e-6)
-
-
-def test_cdf_refined_and_base_agree_coarsely(pi4_model, gap_model):
-    # There is one CDF: ``refine`` is accepted and ignored.
-    xs = np.linspace(-0.9, 0.9, 37)
-    for model in (pi4_model, gap_model):
-        refined = limit_cdf(model, xs)
-        assert np.array_equal(limit_cdf(model, xs, refine=False), refined)
 
 
 def test_cdf_against_quadrature_at_the_support_ends():

@@ -600,6 +600,16 @@ def test_step_and_apply_coin_act_on_every_occupied_site(coin):
             WalkState(t_bad, np.zeros((2, 2 * t_bad + 1), dtype=complex))
 
 
+def test_walk_state_refuses_a_non_integer_time():
+    occ = np.zeros((2, 5), dtype=complex)
+    with pytest.raises(TypeError):
+        WalkState(4.0, occ)
+    state = WalkState(np.int64(4), occ)
+    assert type(state.t) is int and state.amplitudes.shape == (2, 9)
+    with pytest.raises(ValueError, match="^time must be nonnegative$"):
+        WalkState(-1, np.zeros((2, 0), dtype=complex))
+
+
 def check_evolve_memory(names, times):
     """One ``evolve`` of each of ``DRIFT_PROTOCOLS[names]`` from the spin
     (0.6, 0.8i) at each of ``times``, by tracemalloc, after one untraced
