@@ -187,25 +187,6 @@ def test_moment_report_zero_order_error_vanishes(pi4_model):
         assert entry.errors[0][1] <= 1e-12
 
 
-@pytest.mark.parametrize("r_max", [-1, 9])
-def test_moment_report_rejects_bad_r_max(pi4_model, r_max):
-    with pytest.raises(ValueError, match="moment order must be between 0 and 8"):
-        moment_report(pi4_model, [9], r_max=r_max)
-
-
-@pytest.mark.parametrize("r_max", [-1, 9])
-def test_compare_distribution_rejects_bad_r_max_before_any_work(
-    pi4_model, monkeypatch, r_max
-):
-    def no_ks(*args, **kwargs):
-        raise AssertionError("KS work started before r_max was checked")
-
-    monkeypatch.setattr(triwalk.analysis, "ks_distance", no_ks)
-    dist = lattice_dist({-1: 0.5, 1: 0.5})
-    with pytest.raises(ValueError, match="moment order must be between 0 and 8"):
-        compare_distribution(pi4_model, dist, 1, r_max=r_max)
-
-
 def test_moment_errors_shrink_with_time(pi4_model):
     report = moment_report(pi4_model, [99, 999], r_max=2)
     early = dict(report[0].errors)

@@ -45,7 +45,9 @@ from _oracles import (
     dense_index,
     dense_step_operator,
     exact_walk,
+    extended_walk,
     fourier_product,
+    random_protocol,
     random_safe_angle,
     random_spin,
 )
@@ -322,7 +324,7 @@ def test_sparse_pass_reads_each_time_as_a_single_read():
 # phase in {+-1, +-i}, or a complex Pythagorean coin.  Each protocol is read
 # at EXACT_TIMES up to its last time: the exact walk costs ~0.7-1.5 s to
 # T = 999 on a 2-vCPU VM, most for the protocols with a coin at every step,
-# and grows about as T^2.7 (13.7 s at T = 2,997 for "canonical").
+# and grows about as T^2.5 (~8 s at T = 2,997 for "canonical", CI's step).
 P5 = (((3, 4), (4, -3)), 5)
 Q13 = (((5, 12), (12, -5)), 13)
 IP5 = (((3j, 4j), (4, -3)), 5)  # diag(i, 1) P5; its closing coin is diag(1, -i)
@@ -444,16 +446,9 @@ def test_smooth_size_matches_a_brute_force_search():
 # T = 99,999.
 DRIFT = 1e-14
 
-
-@pytest.mark.parametrize("theta", [math.pi / 4, 0.05, 1.5706])
-def test_fft_norm_drift_at_large_time(theta):
-    state = evolve(InitialSpin(0.6, 0.8j), three_period_protocol(theta), 99_999)
-    assert abs(state.norm() - 1.0) <= DRIFT
-    assert np.all(state.amplitudes[:, 1::2] == 0)
-
-
 # A general coin's cycle, a period of one coin, a period whose only coin
-# comes first, and three general coins.
+# comes first, three general coins, and the rotation cycles at pi/4, at a
+# small angle and near a quarter turn.
 DRIFT_PROTOCOLS = {
     "canonical": canonical_protocol(COIN),
     "C": StepProtocol((COIN,)),
@@ -461,6 +456,9 @@ DRIFT_PROTOCOLS = {
     "three-coin": three_coin_protocol(
         general_coin(1.1, -0.3, 0.7, 0.9), COIN, general_coin(-2.0, 0.5, 1.9, 2.8)
     ),
+    "pi/4": three_period_protocol(math.pi / 4),
+    "theta=0.05": three_period_protocol(0.05),
+    "theta=1.5706": three_period_protocol(1.5706),
 }
 
 
@@ -484,10 +482,110 @@ def test_fft_norm_drift_at_large_time_for_a_general_coin():
     check_norm_drift(["canonical"], [99_999])
 
 
-@pytest.mark.parametrize("name", ["C", "C-I-I", "three-coin"])
+@pytest.mark.parametrize(
+    "name", ["C", "C-I-I", "three-coin", "pi/4", "theta=0.05", "theta=1.5706"]
+)
 def test_fft_norm_drift_at_large_time_for_any_period(name):
     # T = 99,998 leaves two leftover steps of a period of three.
     check_norm_drift([name], [99_998, 99_999])
+
+
+# Each kernel's error law: the l2 distance over all amplitudes from the walk
+# that tests/_oracles.py::extended_walk computes in long double, in units of
+# eps = 2.2e-16.  Stepping walks the float coins as given, and its roundings
+# add up as a random walk: sqrt(T) eps.  The FFT read walks the period block's
+# SU(2) projection; its error is each momentum's eigenphase rounding times the
+# m whole periods: T eps.  The gates run where long double is x87's 80-bit
+# format (x86-64 Linux): where it is a double (MSVC) it cannot tell either
+# law from its own rounding, and where it is a 128-bit software type
+# (aarch64 Linux) the oracle is slow and its time unmeasured.
+EPS = np.finfo(np.float64).eps
+LONG_DOUBLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps != 2.0**-63,
+    reason="the oracle needs x87's 80-bit long double: a double one cannot "
+    "resolve the error laws, and a 128-bit one is slow software",
+)
+
+
+def _l2(amp, ref):
+    return float(np.sqrt(np.sum(np.abs(amp - ref) ** 2)))
+
+
+def _off(floats, exact, den):
+    """The l2 distance of the complex ``floats`` from the exact ``exact / den``,
+    each of ``exact`` a complex with integer parts."""
+    return math.sqrt(
+        sum(
+            (Fraction(f.real) - Fraction(e.real) / den) ** 2
+            + (Fraction(f.imag) - Fraction(e.imag) / den) ** 2
+            for f, e in zip(floats, exact)
+        )
+    )
+
+
+@LONG_DOUBLE
+@pytest.mark.parametrize("name", EXACT_PROTOCOLS)
+def test_extended_walk_reads_the_exact_walk(name):
+    # The float coins and spin differ from the exact ones by their rounding:
+    # d_C (Frobenius) per coin, d_0 for the spin.  Unprojected, the walks then
+    # differ by at most d_0 plus d_C summed over the steps taken, as every
+    # exact step is unitary and every float one is to 1e-15.  Projected, each
+    # whole period's block moves by at most ~4.7x its own error (the phase,
+    # the projection and the norm), so 5x bounds it.  eps covers the
+    # reference's rounding and the oracle's own.  Measured up to T = 999: at
+    # most 0.70 of the unprojected bound (the rounding of a coin adds up
+    # coherently, step after step) and 0.12 of the projected one.
+    coins, ((alpha, beta), n), _ = EXACT_PROTOCOLS[name]
+    spin, protocol = _float_walk(name)
+    d_0 = _off((spin.alpha, spin.beta), (alpha, beta), n)
+    d_c = []
+    for mine, coin in zip(protocol.coins, coins):
+        (row_0, row_1), den = coin or (((1, 0), (0, 1)), 1)
+        d_c.append(_off(mine.entries, (*row_0, *row_1), den))
+    for t, ref, *_ in _exact_reads(name, _exact_times(name)):
+        steps = d_0 + sum(d_c[s % len(d_c)] for s in range(t))
+        for project, bound in ((False, steps + EPS), (True, 5 * steps + EPS)):
+            err = _l2(extended_walk(spin, protocol, t, project=project), ref)
+            assert err <= bound, (t, project, err, bound)
+
+
+# Measured: stepping at most 0.68 sqrt(T) eps on 800 random protocols from
+# T = 1 to 2,997 (0.40 from T = 999 on; 0.65 on tier-1's ten), a margin of
+# 1.6x; the FFT read 0.096-0.13 T eps at T = 99,999 and 0.077-0.11 at
+# 999,999 on CI's three, a margin of 1.9x.
+STEPPING_LAW = 1.1
+FFT_LAW = 0.25
+
+
+def check_fft_law(names, times):
+    """The FFT read of each of ``DRIFT_PROTOCOLS[names]`` from the spin (0.6,
+    0.8i) at each of ``times`` within ``FFT_LAW`` t eps of the walk of its
+    period block's SU(2) projection, ``extended_walk(project=True)``.  CI
+    runs "pi/4", "canonical" and "three-coin" at T = 999,999."""
+    spin = InitialSpin(0.6, 0.8j)
+    for name in names:
+        for t in times:
+            ((_, amp),) = _fourier_reads(spin, DRIFT_PROTOCOLS[name], [t])
+            ref = extended_walk(spin, DRIFT_PROTOCOLS[name], t, project=True)
+            assert _l2(amp, ref) <= FFT_LAW * t * EPS, (name, t)
+
+
+@LONG_DOUBLE
+def test_stepping_keeps_its_error_law():
+    # One stepped pass over each of two random protocols of each kind of
+    # random_protocol (periods 1 to 3; rotation, general and three-coin
+    # cycles), every read against the float coins' own walk.
+    rng = np.random.default_rng(37)
+    for i in range(10):
+        protocol, spin = random_protocol(rng, i), InitialSpin(*random_spin(rng))
+        for t, amp in _stepping(spin, protocol, [1, 2, 3, 17, 99, 999, 2997]):
+            ref = extended_walk(spin, protocol, t, project=False)
+            assert _l2(amp, ref) <= STEPPING_LAW * math.sqrt(t) * EPS, (i, t)
+
+
+@LONG_DOUBLE
+def test_fft_read_keeps_its_error_law():
+    check_fft_law(["pi/4", "canonical", "three-coin"], [99_999])
 
 
 def test_distribution_is_the_full_width_formula_bit_for_bit():
